@@ -1,21 +1,24 @@
-//! The tentpole ablation: Algorithm 1 driven by the compiled
-//! [`ProcessAutomaton`] versus the direct per-case `WeakNext` recomputation.
+//! The engine ablation: Algorithm 1 driven by the production engine (the
+//! replay trie over the compiled `ProcessAutomaton`) versus the direct
+//! per-case `WeakNext` recomputation of the oracle.
 //!
 //! The workload is the repeated-same-process shape the automaton targets:
 //! 100 simulated `HT-*` cases of the running example's treatment process,
 //! all replayed against one shared encoding. The direct engine rewrites
-//! COWS terms for every case; the automaton engine compiles each state once
-//! and afterwards walks integer edges.
+//! COWS terms for every case; the production engine compiles each state
+//! once, walks integer edges and memoizes steps shared across cases.
 
 use audit::entry::LogEntry;
 use bpmn::encode::encode;
 use bpmn::models::healthcare_treatment;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use policy::hierarchy::RoleHierarchy;
-use purpose_control::replay::{check_case, CheckOptions, Engine};
+use purpose_control::replay::{check_case_with, CheckOptions, Engine};
+use purpose_control::ReplayTrie;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
+use std::sync::Arc;
 use workload::simulate::{simulate_case, SimConfig};
 
 const CASES: usize = 100;
@@ -34,18 +37,28 @@ fn bench_engines(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("automaton_vs_direct");
     g.throughput(Throughput::Elements(CASES as u64));
-    for (name, engine) in [("direct", Engine::Direct), ("automaton", Engine::Automaton)] {
+    for (name, engine) in [("direct", Engine::Direct), ("production", Engine::Trie)] {
         let opts = CheckOptions {
             engine,
             ..CheckOptions::default()
         };
         g.bench_function(name, |b| {
             b.iter(|| {
+                // One trie per pass, shared across its cases as the auditor
+                // shares it; the direct oracle ignores it.
+                let trie = Arc::new(ReplayTrie::new(encoded.automaton.clone()));
                 let mut compliant = 0usize;
                 for entries in &cases {
                     let refs: Vec<&LogEntry> = entries.iter().collect();
-                    let out = check_case(&encoded, &hierarchy, &refs, &opts)
-                        .expect("replay machinery succeeds");
+                    let out = check_case_with(
+                        &encoded,
+                        &hierarchy,
+                        &refs,
+                        &opts,
+                        &obs::Recorder::noop(),
+                        Some(&trie),
+                    )
+                    .expect("replay machinery succeeds");
                     if out.verdict.is_compliant() {
                         compliant += 1;
                     }

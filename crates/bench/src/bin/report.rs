@@ -369,7 +369,7 @@ fn p7_attack_detection() {
 }
 
 fn p8_engine_ablation(quick: bool) -> String {
-    println!("## P8 — replay engine ablation (compiled automaton vs direct WeakNext)");
+    println!("## P8 — replay engine ablation (production engine vs direct WeakNext)");
     // The transitions memo is process-global; every earlier section has
     // already pushed hits and misses into it. Snapshot it here and report
     // deltas so this section's numbers describe this section's work.
@@ -390,19 +390,30 @@ fn p8_engine_ablation(quick: bool) -> String {
             engine,
             ..CheckOptions::default()
         };
+        // The production engine shares one trie across the run's cases, as
+        // the auditor does; the direct oracle ignores it.
+        let trie = Arc::new(ReplayTrie::new(encoded.automaton.clone()));
         for entries in &cases {
             let refs: Vec<&audit::LogEntry> = entries.iter().collect();
-            check_case(&encoded, &h, &refs, &opts).expect("replay machinery succeeds");
+            check_case_with(
+                &encoded,
+                &h,
+                &refs,
+                &opts,
+                &obs::Recorder::noop(),
+                Some(&trie),
+            )
+            .expect("replay machinery succeeds");
         }
     };
     let td = median_time(|| run_all(Engine::Direct), 3);
-    let ta = median_time(|| run_all(Engine::Automaton), 3);
+    let ta = median_time(|| run_all(Engine::Trie), 3);
     let (cps_d, cps_a) = (n as f64 / td.as_secs_f64(), n as f64 / ta.as_secs_f64());
     println!("{:>10} | {:>12} | {:>12}", "engine", "100 cases", "cases/s");
     println!("{:>10} | {:>12} | {:>12.0}", "direct", fmt_dur(td), cps_d);
     println!(
         "{:>10} | {:>12} | {:>12.0}",
-        "automaton",
+        "production",
         fmt_dur(ta),
         cps_a
     );
@@ -428,7 +439,7 @@ fn p8_engine_ablation(quick: bool) -> String {
            \"process\": \"healthcare_treatment\",\n  \
            \"cases\": {n},\n  \
            \"direct\": {{ \"seconds\": {:.6}, \"cases_per_sec\": {:.1} }},\n  \
-           \"automaton\": {{ \"seconds\": {:.6}, \"cases_per_sec\": {:.1}, \
+           \"production\": {{ \"seconds\": {:.6}, \"cases_per_sec\": {:.1}, \
              \"states\": {}, \"expanded\": {}, \"edge_hits\": {}, \
              \"edge_misses\": {}, \"edge_hit_rate\": {:.4} }},\n  \
            \"speedup\": {:.2},\n  \
@@ -1855,10 +1866,16 @@ fn p17_run_all<'a>(
     out
 }
 
+/// The P17 gate's floor on the 1-thread shared-vs-private speedup: the
+/// original 3x floor over the retired automaton-only engine, scaled by
+/// k = t(private trie) / t(automaton) ≈ 1.63 measured with this harness
+/// before that engine was folded into the trie (floor = 3 × max(k, 1)).
+const P17_FLOOR: f64 = 4.9;
+
 fn p17_trie(quick: bool, gate: bool) -> String {
     use workload::dupheavy::{generate_dupheavy_with, DupHeavyConfig};
 
-    println!("## P17 — prefix-sharing replay trie vs automaton (duplicate-heavy day)");
+    println!("## P17 — shared vs private replay trie (duplicate-heavy day)");
     let cfg = DupHeavyConfig {
         cases: if quick { 1_200 } else { 4_000 },
         archetypes: 4,
@@ -1871,41 +1888,36 @@ fn p17_trie(quick: bool, gate: bool) -> String {
     let h = hospital_roles();
     let cases: Vec<cows::symbol::Symbol> = day.trail.cases().into_iter().collect();
     // Project each case once: the per-case replay core is what the two
-    // engines differ on, and what we time. (Projection itself is
-    // engine-independent and would only dilute the comparison.)
+    // arms differ on, and what we time. (Projection itself is
+    // arm-independent and would only dilute the comparison.)
     let projected: Vec<Vec<&audit::LogEntry>> =
         cases.iter().map(|&c| day.trail.project_case(c)).collect();
     let entries_total: usize = projected.iter().map(|c| c.len()).sum();
 
-    let auto_opts = CheckOptions {
-        engine: Engine::Automaton,
-        ..CheckOptions::default()
-    };
-    let trie_opts = CheckOptions {
-        engine: Engine::Trie,
-        ..CheckOptions::default()
-    };
-    // Min of 3: throughput floor, same estimator as P16. Each trie rep
-    // starts from a cold, empty cache, so its misses are paid inside the
+    // The baseline is the production engine with cross-case sharing
+    // removed: every case replays through a fresh, private trie over the
+    // same (warm) automaton. The shared arm is what the auditor runs.
+    let opts = CheckOptions::default();
+    // Min of 3: throughput floor, same estimator as P16. Each shared rep
+    // starts from a cold, empty trie, so its misses are paid inside the
     // timed region — the speedup is not an artifact of pre-warming.
     let reps = 3;
-    let time_one = |threads: usize, trie: bool| -> (f64, Vec<CaseCheck>) {
+    let time_one = |threads: usize, shared: bool| -> (f64, Vec<CaseCheck>) {
         let mut best = f64::MAX;
         let mut last = Vec::new();
         for _ in 0..reps {
-            let shared = trie.then(|| Arc::new(ReplayTrie::new(encoded.automaton.clone())));
+            let trie = shared.then(|| Arc::new(ReplayTrie::new(encoded.automaton.clone())));
             let t = Instant::now();
-            let out = p17_run_all(&projected, threads, &|entries| match &shared {
-                Some(tr) => check_case_with(
+            let out = p17_run_all(&projected, threads, &|entries| {
+                check_case_with(
                     &encoded,
                     &h,
                     entries,
-                    &trie_opts,
+                    &opts,
                     &obs::Recorder::noop(),
-                    Some(tr),
+                    trie.as_ref(),
                 )
-                .expect("trie replay failed"),
-                None => check_case(&encoded, &h, entries, &auto_opts).expect("replay failed"),
+                .expect("replay failed")
             });
             best = best.min(t.elapsed().as_secs_f64());
             last = out;
@@ -1913,13 +1925,14 @@ fn p17_trie(quick: bool, gate: bool) -> String {
         (best, last)
     };
 
-    let (auto_t1, auto_r1) = time_one(1, false);
-    let (auto_t8, auto_r8) = time_one(8, false);
+    let (priv_t1, priv_r1) = time_one(1, false);
+    let (priv_t8, priv_r8) = time_one(8, false);
     let (trie_t1, trie_r1) = time_one(1, true);
     let (trie_t8, trie_r8) = time_one(8, true);
 
-    // Byte-identity of the observable outputs across engines and thread
-    // counts — this never degrades to a warning, even outside --gate.
+    // Byte-identity of the observable outputs across both arms, thread
+    // counts and the direct Algorithm 1 oracle — this never degrades to a
+    // warning, even outside --gate.
     let fp = |checks: &[CaseCheck]| -> Vec<(String, usize, usize)> {
         checks
             .iter()
@@ -1932,15 +1945,22 @@ fn p17_trie(quick: bool, gate: bool) -> String {
             })
             .collect()
     };
-    let baseline = fp(&auto_r1);
+    let direct = CheckOptions {
+        engine: Engine::Direct,
+        ..CheckOptions::default()
+    };
+    let baseline = fp(&p17_run_all(&projected, 8, &|entries| {
+        check_case(&encoded, &h, entries, &direct).expect("direct replay failed")
+    }));
     for (label, run) in [
-        ("automaton/8", fp(&auto_r8)),
-        ("trie/1", fp(&trie_r1)),
-        ("trie/8", fp(&trie_r8)),
+        ("private/1", fp(&priv_r1)),
+        ("private/8", fp(&priv_r8)),
+        ("shared/1", fp(&trie_r1)),
+        ("shared/8", fp(&trie_r8)),
     ] {
         assert_eq!(
             baseline, run,
-            "P17: {label} verdicts diverged from automaton/1"
+            "P17: {label} verdicts diverged from the direct oracle"
         );
     }
     let infringing = baseline
@@ -1955,7 +1975,7 @@ fn p17_trie(quick: bool, gate: bool) -> String {
             &encoded,
             &h,
             entries,
-            &trie_opts,
+            &opts,
             &obs::Recorder::noop(),
             Some(&stats_trie),
         )
@@ -1964,23 +1984,23 @@ fn p17_trie(quick: bool, gate: bool) -> String {
     let ts = stats_trie.stats();
 
     let cps = |secs: f64| cfg.cases as f64 / secs;
-    let speedup_t1 = auto_t1 / trie_t1;
-    let speedup_t8 = auto_t8 / trie_t8;
+    let speedup_t1 = priv_t1 / trie_t1;
+    let speedup_t8 = priv_t8 / trie_t8;
     println!(
         "{} cases ({} entries, {} stamped, {} infringing), min of {reps}:",
         cfg.cases, entries_total, day.stamped, infringing
     );
     println!(
-        "  1 thread : automaton {:>9} ({:>9.0} cases/s) | trie {:>9} ({:>9.0} cases/s) | {speedup_t1:.1}x",
-        fmt_dur(Duration::from_secs_f64(auto_t1)),
-        cps(auto_t1),
+        "  1 thread : private {:>9} ({:>9.0} cases/s) | shared {:>9} ({:>9.0} cases/s) | {speedup_t1:.1}x",
+        fmt_dur(Duration::from_secs_f64(priv_t1)),
+        cps(priv_t1),
         fmt_dur(Duration::from_secs_f64(trie_t1)),
         cps(trie_t1),
     );
     println!(
-        "  8 threads: automaton {:>9} ({:>9.0} cases/s) | trie {:>9} ({:>9.0} cases/s) | {speedup_t8:.1}x",
-        fmt_dur(Duration::from_secs_f64(auto_t8)),
-        cps(auto_t8),
+        "  8 threads: private {:>9} ({:>9.0} cases/s) | shared {:>9} ({:>9.0} cases/s) | {speedup_t8:.1}x",
+        fmt_dur(Duration::from_secs_f64(priv_t8)),
+        cps(priv_t8),
         fmt_dur(Duration::from_secs_f64(trie_t8)),
         cps(trie_t8),
     );
@@ -1995,16 +2015,17 @@ fn p17_trie(quick: bool, gate: bool) -> String {
     );
     if gate {
         assert!(
-            speedup_t1 >= 3.0,
-            "P17 gate: duplicate-heavy trie speedup {speedup_t1:.2}x below the 3x floor"
+            speedup_t1 >= P17_FLOOR,
+            "P17 gate: duplicate-heavy shared-trie speedup {speedup_t1:.2}x below the \
+             {P17_FLOOR}x floor"
         );
-        println!("  gate: OK (>= 3.0x, verdicts identical)");
+        println!("  gate: OK (>= {P17_FLOOR}x, verdicts identical)");
     }
     println!();
 
     format!(
         "{{\n  \
-           \"benchmark\": \"replay_trie_vs_automaton\",\n  \
+           \"benchmark\": \"replay_trie_shared_vs_private\",\n  \
            \"workload\": \"dupheavy_treatment_day\",\n  \
            \"cases\": {},\n  \
            \"entries\": {entries_total},\n  \
@@ -2013,9 +2034,9 @@ fn p17_trie(quick: bool, gate: bool) -> String {
            \"duplicate_fraction\": {},\n  \
            \"archetypes\": {},\n  \
            \"reps\": {reps},\n  \
-           \"automaton\": {{ \"t1_seconds\": {auto_t1:.6}, \"t1_cases_per_s\": {:.1}, \
-             \"t8_seconds\": {auto_t8:.6}, \"t8_cases_per_s\": {:.1} }},\n  \
-           \"trie\": {{ \"t1_seconds\": {trie_t1:.6}, \"t1_cases_per_s\": {:.1}, \
+           \"private\": {{ \"t1_seconds\": {priv_t1:.6}, \"t1_cases_per_s\": {:.1}, \
+             \"t8_seconds\": {priv_t8:.6}, \"t8_cases_per_s\": {:.1} }},\n  \
+           \"shared\": {{ \"t1_seconds\": {trie_t1:.6}, \"t1_cases_per_s\": {:.1}, \
              \"t8_seconds\": {trie_t8:.6}, \"t8_cases_per_s\": {:.1}, \
              \"hits\": {}, \"misses\": {}, \"frontiers\": {}, \"transitions\": {}, \
              \"bytes\": {} }},\n  \
@@ -2026,8 +2047,8 @@ fn p17_trie(quick: bool, gate: bool) -> String {
         day.stamped,
         cfg.duplicate_fraction,
         cfg.archetypes,
-        cps(auto_t1),
-        cps(auto_t8),
+        cps(priv_t1),
+        cps(priv_t8),
         cps(trie_t1),
         cps(trie_t8),
         ts.hits,

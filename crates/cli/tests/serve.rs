@@ -54,22 +54,15 @@ fn e2e_entries() -> usize {
 // Child-process harness
 // ---------------------------------------------------------------------------
 
+/// The committed JSON schemas at the workspace root.
+fn schema_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../schemas")
+}
+
 fn purposectl_bin() -> PathBuf {
-    // This test binary sits in target/<profile>/deps/; the CLI binary one
-    // level up. `cargo test` compiles the whole workspace (including the
-    // purposectl bin) before running any test, so it exists by now.
-    let mut path = std::env::current_exe().expect("test binary path");
-    path.pop();
-    if path.ends_with("deps") {
-        path.pop();
-    }
-    path.push("purposectl");
-    assert!(
-        path.exists(),
-        "purposectl binary not found at {} — run the full `cargo test` (workspace build) first",
-        path.display()
-    );
-    path
+    // Cargo builds the package's binary before its integration tests and
+    // names it here, so the harness never depends on a prior build.
+    PathBuf::from(env!("CARGO_BIN_EXE_purposectl"))
 }
 
 struct ServerProc {
@@ -874,10 +867,8 @@ fn soak_eight_threads_preserve_counter_invariant() {
     assert!(accepted > 0.0, "soak accepted nothing");
 
     // The metrics document itself validates against the closed schema.
-    let schema_text = std::fs::read_to_string(
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("schemas/metrics.schema.json"),
-    )
-    .expect("schema file");
+    let schema_text =
+        std::fs::read_to_string(schema_dir().join("metrics.schema.json")).expect("schema file");
     let schema = obs::parse_json(&schema_text).expect("schema parses");
     let errors = obs::validate(&doc, &schema);
     assert!(errors.is_empty(), "metrics schema violations: {errors:?}");
@@ -890,10 +881,7 @@ fn soak_eight_threads_preserve_counter_invariant() {
 // ---------------------------------------------------------------------------
 
 fn load_schema(name: &str) -> obs::JsonValue {
-    let text = std::fs::read_to_string(
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("schemas/{name}")),
-    )
-    .expect("schema file");
+    let text = std::fs::read_to_string(schema_dir().join(name)).expect("schema file");
     obs::parse_json(&text).expect("schema parses")
 }
 
@@ -1193,4 +1181,68 @@ fn sigusr1_dumps_schema_valid_flight_with_final_offsets() {
     }
     server.terminate();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// SIGTERM right after `serving on`: the handlers are already installed
+// ---------------------------------------------------------------------------
+
+#[cfg(unix)]
+extern "C" {
+    fn kill(pid: i32, sig: i32) -> i32;
+}
+
+/// A supervisor may send SIGTERM the instant it reads `serving on`. The
+/// server must already own the signal by then: every time, it drains and
+/// exits 0 instead of dying to the default disposition.
+#[cfg(unix)]
+#[test]
+fn sigterm_immediately_after_serving_on_always_drains() {
+    const SIGTERM: i32 = 15;
+    for round in 0..50 {
+        let mut child = Command::new(purposectl_bin())
+            .args([
+                "serve",
+                "--tenants",
+                "demo",
+                "--process",
+                "treatment=@healthcare_treatment",
+                "--map",
+                "HT-=treatment",
+                "--no-automaton-cache",
+                "--shards",
+                "1",
+            ])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::inherit())
+            .spawn()
+            .expect("spawn purposectl serve");
+        let mut lines = std::io::BufReader::new(child.stdout.take().expect("piped")).lines();
+        let mut seen = Vec::new();
+        loop {
+            let line = lines
+                .next()
+                .unwrap_or_else(|| panic!("round {round}: exited before binding: {seen:?}"))
+                .expect("read stdout");
+            let bound = line.starts_with("serving on ");
+            seen.push(line);
+            if bound {
+                break;
+            }
+        }
+        // No sleep, no helper process: signal the very moment the line lands.
+        assert_eq!(
+            unsafe { kill(child.id() as i32, SIGTERM) },
+            0,
+            "kill failed"
+        );
+        seen.extend(lines.map(|l| l.expect("read stdout")));
+        let status = child.wait().expect("wait for serve");
+        assert_eq!(status.code(), Some(0), "round {round}: {status:?} {seen:?}");
+        assert!(
+            seen.iter()
+                .any(|l| l == "serve: tenant demo drained at offset 0"),
+            "round {round}: no drain: {seen:?}"
+        );
+    }
 }

@@ -33,9 +33,9 @@ pub struct RegisteredProcess {
     pub purpose: Symbol,
     pub model: ProcessModel,
     pub encoded: Encoded,
-    /// Per-process replay trie, shared by every case replayed under
-    /// [`crate::replay::Engine::Trie`] (batch, parallel and live); inert
-    /// under the other engines.
+    /// Per-process replay trie, shared by every case replayed under the
+    /// production [`crate::replay::Engine::Trie`] (batch, parallel and
+    /// live); unused by the direct oracle.
     pub trie: Arc<ReplayTrie>,
 }
 

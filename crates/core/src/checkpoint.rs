@@ -33,7 +33,7 @@
 use crate::error::CheckError;
 use crate::live::ClosedCase;
 use crate::replay::{Infringement, InfringementKind};
-use crate::session::SessionState;
+use crate::session::{SessionMeta, SessionState};
 use crate::severity::SeverityAssessment;
 use audit::entry::{LogEntry, TaskStatus};
 use audit::time::Timestamp;
@@ -412,17 +412,18 @@ pub fn encode_case(c: &CaseCheckpoint) -> Vec<u8> {
     let mut enc = StateEncoder::new();
     enc.put_sym(c.case);
     enc.put_sym(c.purpose);
-    enc.put_u64(c.state.consumed as u64);
-    enc.put_u64(c.state.explored as u64);
-    enc.put_u64(c.state.peak as u64);
-    match c.state.first_time {
+    let meta = &c.state.meta;
+    enc.put_u64(meta.consumed as u64);
+    enc.put_u64(meta.explored as u64);
+    enc.put_u64(meta.peak as u64);
+    match meta.first_time {
         None => enc.put_u8(0),
         Some(t) => {
             enc.put_u8(1);
             enc.put_u64(t.0);
         }
     }
-    put_opt_str(&mut enc, c.state.case_name.as_deref());
+    put_opt_str(&mut enc, meta.case_name.as_deref());
     enc.put_len(c.entries.len());
     for e in &c.entries {
         put_entry(&mut enc, e);
@@ -470,11 +471,13 @@ pub fn decode_case(bytes: &[u8]) -> Result<CaseCheckpoint, SnapshotError> {
         process_key,
         state: SessionState {
             confs,
-            peak,
-            explored,
-            consumed,
-            first_time,
-            case_name,
+            meta: SessionMeta {
+                peak,
+                explored,
+                consumed,
+                first_time,
+                case_name,
+            },
         },
         entries,
         entries_dropped,
@@ -650,11 +653,13 @@ mod tests {
             process_key: 0xfeed_beef,
             state: SessionState {
                 confs: vec![encode(&fig8_exclusive()).initial()],
-                peak: 3,
-                explored: 17,
-                consumed: 5,
-                first_time: Some(Timestamp(201007060900)),
-                case_name: Some("HT-7".to_string()),
+                meta: SessionMeta {
+                    peak: 3,
+                    explored: 17,
+                    consumed: 5,
+                    first_time: Some(Timestamp(201007060900)),
+                    case_name: Some("HT-7".to_string()),
+                },
             },
             entries: vec![entry("T06", "HT-7", 201007060900)],
             entries_dropped: 2,

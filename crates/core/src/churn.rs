@@ -606,11 +606,7 @@ mod tests {
             process_key: c.process_key,
             state: crate::session::SessionState {
                 confs: vec![bpmn::encode::encode(&bpmn::models::fig8_exclusive()).initial()],
-                peak: c.meta.peak,
-                explored: c.meta.explored,
-                consumed: c.meta.consumed,
-                first_time: c.meta.first_time,
-                case_name: c.meta.case_name.clone(),
+                meta: c.meta.clone(),
             },
             entries: c.entries.decode(c.case).unwrap(),
             entries_dropped: c.entries_dropped,

@@ -28,7 +28,7 @@ use policy::hierarchy::RoleHierarchy;
 use std::collections::HashMap;
 
 /// `WeakNext(state)` through the engine selected by `opts`: the direct path
-/// recomputes per call; the automaton path interns the state into the
+/// recomputes per call; the production path interns the state into the
 /// process's shared [`cows::automaton::ProcessAutomaton`] and materializes
 /// the compiled edges, so the lenient replay also benefits from (and
 /// contributes to) cross-case warming.
@@ -40,9 +40,9 @@ fn expand(
     match opts.engine {
         Engine::Direct => Ok(weak_next(state, &encoded.observability, opts.weaknext)?),
         // The lenient replay explores hypothetical silent steps, which the
-        // replay trie does not memoize; the trie engine therefore rides the
-        // plain interned-automaton path here.
-        Engine::Automaton | Engine::Trie => {
+        // replay trie does not memoize; it rides the trie's automaton
+        // directly.
+        Engine::Trie => {
             let id = encoded.automaton.intern(state.clone());
             Ok(encoded
                 .automaton
@@ -59,7 +59,7 @@ fn quiesces(encoded: &Encoded, state: &Marked, opts: &CheckOptions) -> Result<bo
             &encoded.observability,
             opts.weaknext,
         )?),
-        Engine::Automaton | Engine::Trie => {
+        Engine::Trie => {
             let id = encoded.automaton.intern(state.clone());
             Ok(encoded
                 .automaton

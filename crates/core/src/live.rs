@@ -50,8 +50,8 @@ use crate::checkpoint::{
 use crate::churn::{decode_churn, encode_churn, ChurnCheckpoint, EntryBlock, CHURN_MAGIC};
 use crate::durable::SyncPolicy;
 use crate::error::CheckError;
-use crate::replay::{CaseCheck, Engine, Infringement, Verdict};
-use crate::session::{FeedOutcome, SessionCore, SessionMeta, SessionState};
+use crate::replay::{CaseCheck, Infringement, Verdict};
+use crate::session::{FeedOutcome, SessionCore, SessionStart};
 use crate::severity::{assess, SeverityAssessment};
 use crate::spill::SpillStore;
 use audit::entry::LogEntry;
@@ -274,6 +274,26 @@ struct LiveCase {
     shielded_until: u64,
 }
 
+impl LiveCase {
+    /// The durable (`PCLC`) checkpoint of this open case.
+    fn to_checkpoint(&self, case: Symbol) -> Result<CaseCheckpoint, CheckError> {
+        Ok(CaseCheckpoint {
+            case,
+            purpose: self.process.purpose,
+            process_key: self.process.encoded.snapshot_key(),
+            state: self.core.export_state(),
+            entries: self
+                .entries
+                .decode(case)
+                .map_err(|e| CheckError::Checkpoint {
+                    detail: format!("case {case} entry window: {e}"),
+                })?,
+            entries_dropped: self.entries_dropped,
+            last_seen: self.last_seen,
+        })
+    }
+}
+
 /// A streaming auditor: feed it log entries as the systems emit them.
 pub struct LiveAuditor {
     auditor: Auditor,
@@ -476,7 +496,7 @@ impl LiveAuditor {
                     self.stats.unresolved += 1;
                     return Ok(LiveEvent::Unresolved { case });
                 };
-                let core = self.open_session(process)?;
+                let core = self.open_session(process, SessionStart::Initial)?;
                 self.cases.insert(
                     case,
                     LiveCase {
@@ -602,89 +622,72 @@ impl LiveAuditor {
         None
     }
 
-    /// Open a session at the process's initial configuration through the
-    /// configured engine. Under [`Engine::Trie`] every live case of a
-    /// process shares the process's replay trie, so a monitor churning
-    /// through duplicate-heavy traffic steps mostly from cache.
-    fn open_session(&self, process: &RegisteredProcess) -> Result<SessionCore, CheckError> {
-        match self.auditor.options.engine {
-            Engine::Trie => SessionCore::with_trie(
-                &process.encoded,
-                self.auditor.options,
-                process.trie.clone(),
-                self.auditor.context.roles(),
-                obs::Recorder::noop(),
-            ),
-            _ => SessionCore::new(&process.encoded, self.auditor.options),
-        }
-    }
-
-    /// Engine-dispatched [`SessionCore::from_interned`] (churn rehydrate).
-    fn session_from_interned(
+    /// Open a session of `process` at `start` under the monitor's options.
+    /// Every live case of a process steps through the process's shared
+    /// replay trie, so a monitor churning through duplicate-heavy traffic
+    /// steps mostly from cache.
+    fn open_session(
         &self,
         process: &RegisteredProcess,
-        ids: Vec<cows::automaton::StateId>,
-        meta: SessionMeta,
+        start: SessionStart,
     ) -> Result<SessionCore, CheckError> {
-        match self.auditor.options.engine {
-            Engine::Trie => SessionCore::from_interned_with_trie(
-                &process.encoded,
-                self.auditor.options,
-                process.trie.clone(),
-                self.auditor.context.roles(),
-                ids,
-                meta,
-            ),
-            _ => SessionCore::from_interned(&process.encoded, self.auditor.options, ids, meta),
-        }
-    }
-
-    /// Engine-dispatched [`SessionCore::from_state`] (durable rehydrate).
-    fn session_from_state(
-        &self,
-        process: &RegisteredProcess,
-        state: SessionState,
-    ) -> Result<SessionCore, CheckError> {
-        match self.auditor.options.engine {
-            Engine::Trie => SessionCore::from_state_with_trie(
-                &process.encoded,
-                self.auditor.options,
-                process.trie.clone(),
-                self.auditor.context.roles(),
-                state,
-                obs::Recorder::noop(),
-            ),
-            _ => SessionCore::from_state(&process.encoded, self.auditor.options, state),
-        }
+        SessionCore::open(
+            &process.encoded,
+            self.auditor.context.roles(),
+            self.auditor.options,
+            start,
+            Some(&process.trie),
+            &obs::Recorder::noop(),
+        )
     }
 
     fn peek_spilled(&self, case: Symbol) -> Result<CaseCheck, CheckError> {
         let bytes = self.load_spilled(case)?;
-        let (process, core) = self.decode_spilled(&bytes)?;
-        core.finish(&process.encoded)
+        let live = self.decode_spilled(&bytes)?;
+        live.core.finish(&live.process.encoded)
     }
 
-    /// Rebuild a session from a spilled blob without admitting it,
+    /// Rebuild a spilled case from its blob without admitting it,
     /// dispatching on the envelope magic (`PCLE` churn vs durable `PCLC`).
-    fn decode_spilled(
-        &self,
-        bytes: &[u8],
-    ) -> Result<(Arc<RegisteredProcess>, SessionCore), CheckError> {
-        if bytes.len() >= 4 && bytes[..4] == CHURN_MAGIC {
-            let ckpt = decode_churn(bytes).map_err(|e| CheckError::Checkpoint {
-                detail: e.to_string(),
-            })?;
-            let process = self.validated_process(ckpt.case, ckpt.purpose, ckpt.process_key)?;
-            let core = self.session_from_interned(&process, ckpt.ids, ckpt.meta)?;
-            Ok((process, core))
-        } else {
-            let ckpt = decode_case(bytes).map_err(|e| CheckError::Checkpoint {
-                detail: e.to_string(),
-            })?;
-            let process = self.validated_process(ckpt.case, ckpt.purpose, ckpt.process_key)?;
-            let core = self.session_from_state(&process, ckpt.state)?;
-            Ok((process, core))
+    fn decode_spilled(&self, bytes: &[u8]) -> Result<LiveCase, CheckError> {
+        let corrupt = |e: cows::SnapshotError| CheckError::Checkpoint {
+            detail: e.to_string(),
+        };
+        if bytes.len() < 4 || bytes[..4] != CHURN_MAGIC {
+            return self.case_from_checkpoint(decode_case(bytes).map_err(corrupt)?);
         }
+        let ckpt = decode_churn(bytes).map_err(corrupt)?;
+        let process = self.validated_process(ckpt.case, ckpt.purpose, ckpt.process_key)?;
+        let start = SessionStart::Interned {
+            ids: ckpt.ids,
+            meta: ckpt.meta,
+        };
+        Ok(LiveCase {
+            core: self.open_session(&process, start)?,
+            process,
+            entries: ckpt.entries,
+            entries_dropped: ckpt.entries_dropped,
+            last_seen: ckpt.last_seen,
+            touched: self.tick,
+            protected: false,
+            shielded_until: 0,
+        })
+    }
+
+    /// A non-resident [`LiveCase`] rebuilt from a decoded durable
+    /// checkpoint, validated against the current registry.
+    fn case_from_checkpoint(&self, ckpt: CaseCheckpoint) -> Result<LiveCase, CheckError> {
+        let process = self.validated_process(ckpt.case, ckpt.purpose, ckpt.process_key)?;
+        Ok(LiveCase {
+            core: self.open_session(&process, SessionStart::State(ckpt.state))?,
+            process,
+            entries: EntryBlock::from_entries(&ckpt.entries),
+            entries_dropped: ckpt.entries_dropped,
+            last_seen: ckpt.last_seen,
+            touched: self.tick,
+            protected: false,
+            shielded_until: 0,
+        })
     }
 
     /// Registry lookup + process-key check shared by every rehydration
@@ -719,22 +722,14 @@ impl LiveAuditor {
     /// Serialize one resident open case (the eviction payload, exposed for
     /// inspection and tests).
     pub fn checkpoint_case(&self, case: Symbol) -> Option<Vec<u8>> {
-        let live = self.cases.get(&case)?;
-        Some(encode_case(&CaseCheckpoint {
-            case,
-            purpose: live.process.purpose,
-            process_key: live.process.encoded.snapshot_key(),
-            state: live.core.export_state(),
-            entries: live.entries.decode(case).ok()?,
-            entries_dropped: live.entries_dropped,
-            last_seen: live.last_seen,
-        }))
+        let ckpt = self.cases.get(&case)?.to_checkpoint(case).ok()?;
+        Some(encode_case(&ckpt))
     }
 
     /// Evict one resident case to the spill store. No-op result for a case
     /// that is not resident.
     ///
-    /// Automaton-engine sessions travel as the run-local `PCLE` churn
+    /// Production-engine sessions travel as the run-local `PCLE` churn
     /// envelope — raw state ids, no term serialization — which is what
     /// makes eviction cheap enough for an undersized cap. Direct-engine
     /// sessions have no shared automaton to point into and fall back to
@@ -817,49 +812,11 @@ impl LiveAuditor {
             .ok_or_else(|| CheckError::Checkpoint {
                 detail: format!("case {case} is not in the spill store"),
             })?;
-        let (process, core, entries, entries_dropped, last_seen) =
-            if bytes.len() >= 4 && bytes[..4] == CHURN_MAGIC {
-                let ckpt = decode_churn(&bytes).map_err(|e| CheckError::Checkpoint {
-                    detail: e.to_string(),
-                })?;
-                let process = self.validated_process(ckpt.case, ckpt.purpose, ckpt.process_key)?;
-                let core = self.session_from_interned(&process, ckpt.ids, ckpt.meta)?;
-                (
-                    process,
-                    core,
-                    ckpt.entries,
-                    ckpt.entries_dropped,
-                    ckpt.last_seen,
-                )
-            } else {
-                let ckpt = decode_case(&bytes).map_err(|e| CheckError::Checkpoint {
-                    detail: e.to_string(),
-                })?;
-                let process = self.validated_process(ckpt.case, ckpt.purpose, ckpt.process_key)?;
-                let core = self.session_from_state(&process, ckpt.state)?;
-                (
-                    process,
-                    core,
-                    EntryBlock::from_entries(&ckpt.entries),
-                    ckpt.entries_dropped,
-                    ckpt.last_seen,
-                )
-            };
+        let mut live = self.decode_spilled(&bytes)?;
         self.tick += 1;
-        let shielded_until = self.config.eviction_debounce.map_or(0, |d| self.tick + d);
-        self.cases.insert(
-            case,
-            LiveCase {
-                process,
-                core,
-                entries,
-                entries_dropped,
-                last_seen,
-                touched: self.tick,
-                protected: false,
-                shielded_until,
-            },
-        );
+        live.touched = self.tick;
+        live.shielded_until = self.config.eviction_debounce.map_or(0, |d| self.tick + d);
+        self.cases.insert(case, live);
         self.stats.rehydrations += 1;
         self.record_stage(obs::Stage::Rehydrate, rehydrate_start, case);
         Ok(())
@@ -868,19 +825,8 @@ impl LiveAuditor {
     /// Build a resident [`LiveCase`] from a decoded durable checkpoint
     /// (the restore path), validating it against the current registry.
     fn admit(&mut self, ckpt: CaseCheckpoint) -> Result<LiveCase, CheckError> {
-        let process = self.validated_process(ckpt.case, ckpt.purpose, ckpt.process_key)?;
-        let core = self.session_from_state(&process, ckpt.state)?;
         self.tick += 1;
-        Ok(LiveCase {
-            process,
-            core,
-            entries: EntryBlock::from_entries(&ckpt.entries),
-            entries_dropped: ckpt.entries_dropped,
-            last_seen: ckpt.last_seen,
-            touched: self.tick,
-            protected: false,
-            shielded_until: 0,
-        })
+        self.case_from_checkpoint(ckpt)
     }
 
     /// The protected segment's share of the resident budget.
@@ -1024,21 +970,7 @@ impl LiveAuditor {
         let mut names: Vec<Symbol> = self.cases.keys().copied().collect();
         names.sort();
         for case in names {
-            let live = &self.cases[&case];
-            cases.push(CaseCheckpoint {
-                case,
-                purpose: live.process.purpose,
-                process_key: live.process.encoded.snapshot_key(),
-                state: live.core.export_state(),
-                entries: live
-                    .entries
-                    .decode(case)
-                    .map_err(|e| CheckError::Checkpoint {
-                        detail: format!("case {case} entry window: {e}"),
-                    })?,
-                entries_dropped: live.entries_dropped,
-                last_seen: live.last_seen,
-            });
+            cases.push(self.cases[&case].to_checkpoint(case)?);
         }
         let mut names: Vec<Symbol> = self.spill.cases();
         names.sort();
@@ -1048,24 +980,7 @@ impl LiveAuditor {
             // the durable encoding (a rebuilt session's `export_state`, so
             // the checkpoint is identical to an unevicted monitor's).
             if bytes.len() >= 4 && bytes[..4] == CHURN_MAGIC {
-                let ckpt = decode_churn(&bytes).map_err(|e| CheckError::Checkpoint {
-                    detail: e.to_string(),
-                })?;
-                let (process, core) = self.decode_spilled(&bytes)?;
-                cases.push(CaseCheckpoint {
-                    case,
-                    purpose: ckpt.purpose,
-                    process_key: process.encoded.snapshot_key(),
-                    state: core.export_state(),
-                    entries: ckpt
-                        .entries
-                        .decode(case)
-                        .map_err(|e| CheckError::Checkpoint {
-                            detail: format!("case {case} entry window: {e}"),
-                        })?,
-                    entries_dropped: ckpt.entries_dropped,
-                    last_seen: ckpt.last_seen,
-                });
+                cases.push(self.decode_spilled(&bytes)?.to_checkpoint(case)?);
             } else {
                 cases.push(decode_case(&bytes).map_err(|e| CheckError::Checkpoint {
                     detail: e.to_string(),

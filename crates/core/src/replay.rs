@@ -32,31 +32,28 @@ pub struct Configuration {
 /// Which replay engine drives the configuration set.
 ///
 /// Both engines implement exactly Algorithm 1 and produce identical
-/// verdicts, traces and exploration counts (asserted by the
-/// `engine_equivalence` property test). They differ only in how the
-/// observable successors are obtained:
+/// verdicts, traces and exploration counts (asserted by the equivalence
+/// suites in `tests/trie.rs` and `tests/properties.rs`). They differ only
+/// in how the observable successors are obtained:
 ///
 /// * [`Engine::Direct`] calls [`cows::weaknext::weak_next`] on owned
 ///   [`Marked`] states every time a configuration is expanded — the
-///   paper-faithful baseline, kept for ablation;
-/// * [`Engine::Automaton`] walks the process's shared
+///   paper-faithful Algorithm 1 oracle the production engine is tested
+///   against;
+/// * [`Engine::Trie`], the production engine, steps through a
+///   [`crate::trie::ReplayTrie`] over the process's shared
 ///   [`cows::automaton::ProcessAutomaton`]: states are interned `u32` ids
-///   and each state's successor edges are computed once per process (not
-///   once per case), so replaying many cases of the same process is
-///   integer-automaton walking;
-/// * [`Engine::Trie`] layers the [`crate::trie::ReplayTrie`] over the
-///   automaton: whole `configuration-set × observation` steps are
-///   memoized on interned frontier rows, so observation prefixes shared
-///   *across cases* cost one automaton walk instead of N.
+///   whose successor edges are computed once per process, and whole
+///   `configuration-set × observation` steps are memoized on interned
+///   frontier rows, so observation prefixes shared *across cases* cost
+///   one automaton walk instead of N.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Engine {
-    /// Recompute `WeakNext` per configuration (no cross-case sharing).
+    /// Recompute `WeakNext` per configuration (the oracle; no sharing).
     Direct,
-    /// Walk the lazily compiled, thread-shared observable-step automaton.
+    /// Step through the cross-case replay trie over the compiled,
+    /// thread-shared observable-step automaton.
     #[default]
-    Automaton,
-    /// Automaton walking behind a cross-case prefix-sharing transition
-    /// cache with dense interned frontiers.
     Trie,
 }
 
@@ -271,11 +268,12 @@ pub fn check_case_traced(
     check_case_with(encoded, hierarchy, entries, opts, recorder, None)
 }
 
-/// [`check_case_traced`] with an optional shared [`ReplayTrie`]. Under
-/// [`Engine::Trie`] the session memoizes into (and is served from) that
-/// trie, sharing transitions with every other case of the process; without
-/// one, a session-local trie is built — correct but unshared. Other
-/// engines ignore the handle.
+/// [`check_case_traced`] with an optional shared
+/// [`ReplayTrie`](crate::trie::ReplayTrie). Under [`Engine::Trie`] the
+/// session memoizes into (and is served from) that trie, sharing
+/// transitions and whole-case outcomes with every other case of the
+/// process; without one, a session-local trie is built — correct but
+/// unshared. The direct oracle ignores the handle.
 pub fn check_case_with(
     encoded: &Encoded,
     hierarchy: &RoleHierarchy,
@@ -284,28 +282,38 @@ pub fn check_case_with(
     recorder: &obs::Recorder,
     trie: Option<&std::sync::Arc<crate::trie::ReplayTrie>>,
 ) -> Result<CaseCheck, CheckError> {
-    let mut core = match (opts.engine, trie) {
-        (Engine::Trie, Some(t)) => {
-            // Whole-case fast path: when the outcome is a pure function of
-            // the replay-relevant projection, duplicate cases skip the
-            // per-entry session walk entirely.
-            if crate::trie::case_memo_eligible(opts) {
-                return crate::trie::replay_case_memoized(
-                    encoded, hierarchy, entries, opts, recorder, t,
-                );
-            }
-            crate::session::SessionCore::with_trie(
-                encoded,
-                *opts,
-                t.clone(),
-                hierarchy,
-                recorder.clone(),
-            )?
+    match (opts.engine, trie) {
+        // Whole-case fast path: when the outcome is a pure function of the
+        // replay-relevant projection, duplicate cases skip the per-entry
+        // session walk entirely.
+        (Engine::Trie, Some(t)) if crate::trie::case_memo_eligible(opts) => {
+            crate::trie::replay_case_memoized(encoded, hierarchy, entries, opts, recorder, t)
         }
-        _ => crate::session::SessionCore::with_recorder(encoded, *opts, recorder.clone())?,
-    };
+        _ => replay_entries(encoded, hierarchy, entries, opts, recorder, trie),
+    }
+}
+
+/// Algorithm 1's main loop: open a session at the initial configuration
+/// and feed `entries` until the first rejection.
+pub(crate) fn replay_entries(
+    encoded: &Encoded,
+    hierarchy: &RoleHierarchy,
+    entries: &[&LogEntry],
+    opts: &CheckOptions,
+    recorder: &obs::Recorder,
+    trie: Option<&std::sync::Arc<crate::trie::ReplayTrie>>,
+) -> Result<CaseCheck, CheckError> {
+    use crate::session::{FeedOutcome, SessionCore, SessionStart};
+    let mut core = SessionCore::open(
+        encoded,
+        hierarchy,
+        *opts,
+        SessionStart::Initial,
+        trie,
+        recorder,
+    )?;
     for e in entries {
-        if let crate::session::FeedOutcome::Rejected(_) = core.feed(encoded, hierarchy, e)? {
+        if let FeedOutcome::Rejected(_) = core.feed(encoded, hierarchy, e)? {
             break;
         }
     }
@@ -448,7 +456,7 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_on_verdict_trace_and_counters() {
+    fn production_engine_matches_the_direct_oracle() {
         let trails: Vec<Vec<LogEntry>> = vec![
             vec![ok("P", "T", 1), ok("P", "T1", 2)],
             vec![ok("P", "T", 1), ok("P", "T1", 2), ok("P", "T2", 3)],
@@ -479,17 +487,6 @@ mod tests {
                     },
                 )
                 .unwrap();
-                let automaton = check_case(
-                    &encode(&model()),
-                    &h,
-                    &refs,
-                    &CheckOptions {
-                        engine: Engine::Automaton,
-                        record_trace: true,
-                        ..CheckOptions::default()
-                    },
-                )
-                .unwrap();
                 let trie = check_case(
                     &encode(&model()),
                     &h,
@@ -501,7 +498,21 @@ mod tests {
                     },
                 )
                 .unwrap();
-                for other in [&automaton, &trie] {
+                // A shared trie, twice: the second replay of each trail is
+                // served from memoized transitions.
+                let encoded = encode(&model());
+                let shared =
+                    std::sync::Arc::new(crate::trie::ReplayTrie::new(encoded.automaton.clone()));
+                let traced = CheckOptions {
+                    record_trace: true,
+                    ..CheckOptions::default()
+                };
+                let noop = obs::Recorder::noop();
+                let cold =
+                    check_case_with(&encoded, &h, &refs, &traced, &noop, Some(&shared)).unwrap();
+                let warm =
+                    check_case_with(&encoded, &h, &refs, &traced, &noop, Some(&shared)).unwrap();
+                for other in [&trie, &cold, &warm] {
                     assert_eq!(direct.verdict, other.verdict);
                     assert_eq!(direct.peak_configurations, other.peak_configurations);
                     assert_eq!(direct.explored_successors, other.explored_successors);

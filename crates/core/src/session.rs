@@ -28,7 +28,7 @@ use bpmn::encode::Encoded;
 use cows::automaton::frontier::FrontierId;
 use cows::automaton::{ProcessAutomaton, StateId};
 use cows::observe::Observation;
-use cows::weaknext::{can_terminate_silently, weak_next_traced, Marked, WeakSuccessor};
+use cows::weaknext::{can_terminate_silently, weak_next_traced, Marked, TaskInstance};
 use obs::{CaseEvidence, EvidenceStep, EvidenceViolation, ObsEvent, Recorder};
 use policy::hierarchy::RoleHierarchy;
 use std::collections::HashSet;
@@ -47,21 +47,16 @@ pub enum FeedOutcome {
 /// The configuration set of Algorithm 1, in the representation of the
 /// selected [`Engine`].
 ///
-/// All variants track the same mathematical set of Def. 6 configurations.
-/// `Direct` owns the `Marked` states and their precomputed successors;
-/// `Automaton` holds dense [`StateId`]s into the process's shared
-/// [`ProcessAutomaton`], whose invariant here is that every live id has
-/// already been expanded (its edges are compiled), so a feed step is pure
-/// table walking. `Trie` holds the same ids as an interned
-/// [`FrontierId`] row in a shared [`ReplayTrie`], so whole
-/// `configuration-set × observation` steps memoize across cases.
+/// Both variants track the same mathematical set of Def. 6 configurations.
+/// `Direct` (the oracle) owns the `Marked` states and their precomputed
+/// successors. `Trie` holds dense [`StateId`]s into the process's shared
+/// [`ProcessAutomaton`] as an interned [`FrontierId`] row of a
+/// [`ReplayTrie`]; every id in the row was expanded when inserted (its
+/// edges are compiled), so a feed step is table walking, memoized across
+/// cases.
 #[derive(Clone, Debug)]
 enum ConfSet {
     Direct(Vec<Configuration>),
-    Automaton {
-        auto: Arc<ProcessAutomaton>,
-        ids: Vec<StateId>,
-    },
     Trie {
         trie: Arc<ReplayTrie>,
         frontier: FrontierId,
@@ -74,36 +69,26 @@ impl ConfSet {
     fn len(&self) -> usize {
         match self {
             ConfSet::Direct(confs) => confs.len(),
-            ConfSet::Automaton { ids, .. } => ids.len(),
             ConfSet::Trie { ids, .. } => ids.len(),
         }
     }
 }
 
-/// The automaton-engine invariant: ids stored in the live set were expanded
-/// when inserted, so their edges are always compiled.
+/// The production-engine invariant: ids stored in the live set were
+/// expanded when inserted, so their edges are always compiled.
 const PRE_EXPANDED: &str = "live configuration ids are expanded on insertion";
 
 /// The portable state of an open session — what
-/// [`SessionCore::export_state`] extracts and [`SessionCore::from_state`]
-/// rebuilds. Configurations are owned [`Marked`] states in live-set order;
-/// the counters are Algorithm 1's bookkeeping, carried verbatim so a
-/// rehydrated session is indistinguishable from one that never left
-/// memory.
+/// [`SessionCore::export_state`] extracts and [`SessionCore::open`]
+/// rebuilds ([`SessionStart::State`]): the configurations as owned
+/// [`Marked`] states in live-set order, plus Algorithm 1's bookkeeping,
+/// carried verbatim so a rehydrated session is indistinguishable from one
+/// that never left memory.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SessionState {
     /// The live configuration set (Def. 6), in set order.
     pub confs: Vec<Marked>,
-    /// Largest configuration-set size seen.
-    pub peak: usize,
-    /// Total successors explored (the `max_explored` budget's counter).
-    pub explored: usize,
-    /// Entries consumed so far.
-    pub consumed: usize,
-    /// Timestamp of the first fed entry (temporal-constraint anchor).
-    pub first_time: Option<Timestamp>,
-    /// Case label adopted from the first fed entry.
-    pub case_name: Option<String>,
+    pub meta: SessionMeta,
 }
 
 /// The session's Algorithm-1 bookkeeping without the configuration set —
@@ -128,8 +113,8 @@ pub struct SessionMeta {
 /// The configuration set of one evidence step, in capture form.
 ///
 /// Evidence capture sits on Algorithm 1's per-entry hot path, so it must
-/// not allocate or render strings there. Under the automaton engine a step
-/// stores only the interned state ids (inline when there is a single live
+/// not allocate or render strings there. Under the production engine a
+/// step stores only the interned state ids (inline when there is a single live
 /// configuration, the common case); the active/token sets and frontier are
 /// recovered from the shared automaton at materialization time — interned
 /// states and their compiled edges are immutable, so the late lookup sees
@@ -174,7 +159,7 @@ pub struct RawEvidence {
     verdict: &'static str,
     steps: Vec<RawStep>,
     violation: Option<EvidenceViolation>,
-    /// The shared automaton the step ids point into (automaton engine only).
+    /// The shared automaton the step ids point into (production engine only).
     auto: Option<Arc<ProcessAutomaton>>,
 }
 
@@ -234,26 +219,38 @@ impl RawEvidence {
         let auto = self
             .auto
             .as_deref()
-            .expect("automaton evidence steps carry their automaton");
-        let mut active: Vec<String> = Vec::new();
-        let mut tokens: Vec<String> = Vec::new();
-        let mut frontier = 0usize;
-        for &id in ids {
-            let state = auto.state(id);
-            active.extend(state.running.iter().map(|(r, q)| format!("{r}.{q}")));
-            tokens.extend(
-                auto.token_tasks(id, &encoded.observability)
-                    .iter()
-                    .map(|(r, q)| format!("{r}.{q}")),
-            );
-            frontier += auto.cached_edges(id).expect(PRE_EXPANDED).len();
-        }
-        active.sort();
-        active.dedup();
-        tokens.sort();
-        tokens.dedup();
-        (active, tokens, frontier, ids.len())
+            .expect("interned evidence steps carry their automaton");
+        let tokens = task_labels(
+            ids.iter()
+                .flat_map(|&id| (*auto.token_tasks(id, &encoded.observability)).clone()),
+        );
+        (
+            running_labels(auto, ids),
+            tokens,
+            frontier_of(auto, ids),
+            ids.len(),
+        )
     }
+}
+
+/// `role.task` labels, sorted and deduplicated.
+fn task_labels(tasks: impl IntoIterator<Item = TaskInstance>) -> Vec<String> {
+    let mut v: Vec<String> = tasks.into_iter().map(|(r, q)| format!("{r}.{q}")).collect();
+    v.sort();
+    v.dedup();
+    v
+}
+
+/// Labels of the tasks running in the interned states `ids`.
+fn running_labels(auto: &ProcessAutomaton, ids: &[StateId]) -> Vec<String> {
+    task_labels(ids.iter().flat_map(|&id| auto.state(id).running.clone()))
+}
+
+/// Total `WeakNext` frontier of the interned (expanded) states `ids`.
+fn frontier_of(auto: &ProcessAutomaton, ids: &[StateId]) -> usize {
+    ids.iter()
+        .map(|&id| auto.cached_edges(id).expect(PRE_EXPANDED).len())
+        .sum()
 }
 
 /// The borrow-free Algorithm-1 state machine: the configuration set plus
@@ -263,180 +260,157 @@ pub struct SessionCore {
     opts: CheckOptions,
     confs: ConfSet,
     steps: Vec<StepRecord>,
-    peak: usize,
-    explored: usize,
-    consumed: usize,
-    first_time: Option<Timestamp>,
+    /// Counters, first-entry time and case label ([`SessionMeta`]).
+    meta: SessionMeta,
     infringement: Option<Infringement>,
     /// Wall-clock cutoff derived from `opts.case_deadline_ms` at open.
     deadline: Option<std::time::Instant>,
-    /// Event sink for replay telemetry (noop by default, so the plain
-    /// constructors pay one branch per would-be event).
+    /// Event sink for replay telemetry (a noop recorder costs one branch
+    /// per would-be event).
     recorder: Recorder,
-    /// Case name adopted from the first fed entry, for evidence labeling.
-    case_name: Option<String>,
     /// Per-entry evidence in capture form, accumulated when
     /// `opts.record_evidence` is set.
     evidence_steps: Vec<RawStep>,
     evidence_violation: Option<EvidenceViolation>,
-    /// Whether the trie (if any) has been fingerprint-bound to the role
-    /// hierarchy this session replays under. Constructors that receive the
-    /// hierarchy bind eagerly; the hierarchy-free fallback binds on the
-    /// first feed. Always `true` for the other engines.
-    trie_bound: bool,
+}
+
+/// Where [`SessionCore::open`] starts a session.
+#[derive(Clone, Debug)]
+pub enum SessionStart {
+    /// The process's initial configuration (a new case).
+    Initial,
+    /// An exported portable state ([`SessionCore::export_state`]) — the
+    /// durable rehydrate.
+    State(SessionState),
+    /// Run-local automaton ids plus bookkeeping ([`SessionCore::conf_ids`]
+    /// and [`SessionCore::export_meta`]) — the cheap churn rehydrate. The
+    /// ids must come from this run's shared automaton (which only ever
+    /// grows, so any id it issued stays valid); an out-of-range id is a
+    /// checkpoint error, never trusted.
+    Interned {
+        ids: Vec<StateId>,
+        meta: SessionMeta,
+    },
 }
 
 impl SessionCore {
-    /// Open at the process's initial configuration.
-    pub fn new(encoded: &Encoded, opts: CheckOptions) -> Result<SessionCore, CheckError> {
-        SessionCore::with_recorder(encoded, opts, Recorder::noop())
-    }
-
-    /// [`SessionCore::new`] with an event recorder: replay lifecycle events
-    /// (entry steps, automaton expansions, `WeakNext` computations) are
-    /// emitted on it as the session advances.
-    pub fn with_recorder(
+    /// Open a session — the one constructor.
+    ///
+    /// `start` picks the configurations and bookkeeping (see
+    /// [`SessionStart`]). Under the production engine the session steps
+    /// through `trie`, fingerprint-bound to `hierarchy` here so a trie
+    /// shared under a different role hierarchy fails fast with
+    /// [`CheckError::EngineConfig`]; without one it gets a private,
+    /// unshared trie (same verdicts, no cross-case memoization). The
+    /// [`Engine::Direct`] oracle ignores `trie` and recomputes `WeakNext`
+    /// per configuration. Replay events (entry steps, automaton
+    /// expansions, `WeakNext` computations) go to `recorder`; pass
+    /// [`Recorder::noop`] for none.
+    ///
+    /// Each starting configuration is expanded on admission. Only a fresh
+    /// case counts that work toward `explored`: a rehydrated session keeps
+    /// its exported counters, so it and its never-evicted twin stay
+    /// identical. The wall-clock `case_deadline_ms` budget is (re-)armed
+    /// here — wall time spent evicted is not replay work.
+    pub fn open(
         encoded: &Encoded,
+        hierarchy: &RoleHierarchy,
         opts: CheckOptions,
-        recorder: Recorder,
+        start: SessionStart,
+        trie: Option<&Arc<ReplayTrie>>,
+        recorder: &Recorder,
     ) -> Result<SessionCore, CheckError> {
-        let (confs, explored, trie_bound) = match opts.engine {
-            Engine::Direct => {
-                let state = encoded.initial();
-                let next =
-                    weak_next_traced(&state, &encoded.observability, opts.weaknext, &recorder)?;
-                let explored = next.len();
-                (
-                    ConfSet::Direct(vec![Configuration { state, next }]),
-                    explored,
-                    true,
-                )
+        enum Seed {
+            Initial,
+            States(Vec<Marked>),
+            Ids(Vec<StateId>),
+        }
+        let (seed, meta) = match start {
+            SessionStart::Initial => (Seed::Initial, None),
+            SessionStart::State(state) => (Seed::States(state.confs), Some(state.meta)),
+            SessionStart::Interned { ids, meta } => {
+                let known = encoded.automaton.len() as u64;
+                if let Some(id) = ids.iter().find(|&&id| u64::from(id) >= known) {
+                    return Err(CheckError::Checkpoint {
+                        detail: format!(
+                            "churn checkpoint id {id} outside automaton ({known} states)"
+                        ),
+                    });
+                }
+                (Seed::Ids(ids), Some(meta))
             }
-            Engine::Automaton => {
-                let auto = encoded.automaton.clone();
-                let id = auto.initial_id(&encoded.service);
-                let edges =
-                    auto.successors_traced(id, &encoded.observability, opts.weaknext, &recorder)?;
-                let explored = edges.len();
-                (
-                    ConfSet::Automaton {
-                        auto,
-                        ids: vec![id],
-                    },
-                    explored,
-                    true,
-                )
+        };
+        let mut explored = 0usize;
+        let confs = match opts.engine {
+            Engine::Direct => {
+                let states = match seed {
+                    Seed::Initial => vec![encoded.initial()],
+                    Seed::States(states) => states,
+                    Seed::Ids(ids) => ids
+                        .iter()
+                        .map(|&id| (*encoded.automaton.state(id)).clone())
+                        .collect(),
+                };
+                let mut confs = Vec::with_capacity(states.len());
+                for state in states {
+                    let next =
+                        weak_next_traced(&state, &encoded.observability, opts.weaknext, recorder)?;
+                    explored += next.len();
+                    confs.push(Configuration { state, next });
+                }
+                ConfSet::Direct(confs)
             }
             Engine::Trie => {
-                // Hierarchy-free fallback: a private per-session trie that
-                // binds lazily on the first feed. Correct (same verdicts)
-                // but unshared — callers wanting cross-case memoization go
-                // through [`SessionCore::with_trie`] instead.
-                let trie = Arc::new(ReplayTrie::new(encoded.automaton.clone()));
-                let (frontier, ids, explored) = trie.root(encoded, opts.weaknext, &recorder)?;
-                (
-                    ConfSet::Trie {
-                        trie,
-                        frontier,
-                        ids,
-                    },
-                    explored,
-                    false,
-                )
+                let trie = match trie {
+                    Some(trie) => trie.clone(),
+                    None => Arc::new(ReplayTrie::new(encoded.automaton.clone())),
+                };
+                debug_assert!(Arc::ptr_eq(trie.automaton(), &encoded.automaton));
+                trie.bind(hierarchy)?;
+                let auto = trie.automaton();
+                let ids = match seed {
+                    Seed::Initial => vec![auto.initial_id(&encoded.service)],
+                    Seed::States(states) => states.into_iter().map(|m| auto.intern(m)).collect(),
+                    Seed::Ids(ids) => ids,
+                };
+                // Restore the [`PRE_EXPANDED`] invariant; for a rehydrated
+                // id the edges are already compiled, so this is a table hit.
+                for &id in &ids {
+                    explored += auto
+                        .successors_traced(id, &encoded.observability, opts.weaknext, recorder)?
+                        .len();
+                }
+                let (frontier, ids) = trie.intern_frontier(&ids);
+                ConfSet::Trie {
+                    trie,
+                    frontier,
+                    ids,
+                }
             }
         };
         Ok(SessionCore {
             opts,
             confs,
             steps: Vec::new(),
-            peak: 1,
-            explored,
-            consumed: 0,
-            first_time: None,
+            meta: meta.unwrap_or(SessionMeta {
+                peak: 1,
+                explored,
+                consumed: 0,
+                first_time: None,
+                case_name: None,
+            }),
             infringement: None,
             deadline: opts
                 .case_deadline_ms
                 .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms)),
-            recorder,
-            case_name: None,
+            recorder: recorder.clone(),
             evidence_steps: Vec::new(),
             evidence_violation: None,
-            trie_bound,
         })
-    }
-
-    /// Open at the process's initial configuration under a *shared*
-    /// [`ReplayTrie`] — the cross-case memoizing variant of the
-    /// [`Engine::Trie`] engine. The trie is fingerprint-bound to
-    /// `hierarchy` here, so a trie reused under a different role hierarchy
-    /// fails fast with [`CheckError::EngineConfig`] instead of serving
-    /// cached transitions computed under different specialization rules.
-    pub fn with_trie(
-        encoded: &Encoded,
-        opts: CheckOptions,
-        trie: Arc<ReplayTrie>,
-        hierarchy: &RoleHierarchy,
-        recorder: Recorder,
-    ) -> Result<SessionCore, CheckError> {
-        debug_assert!(matches!(opts.engine, Engine::Trie));
-        trie.bind(hierarchy)?;
-        let (frontier, ids, explored) = trie.root(encoded, opts.weaknext, &recorder)?;
-        Ok(SessionCore {
-            opts,
-            confs: ConfSet::Trie {
-                trie,
-                frontier,
-                ids,
-            },
-            steps: Vec::new(),
-            peak: 1,
-            explored,
-            consumed: 0,
-            first_time: None,
-            infringement: None,
-            deadline: opts
-                .case_deadline_ms
-                .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms)),
-            recorder,
-            case_name: None,
-            evidence_steps: Vec::new(),
-            evidence_violation: None,
-            trie_bound: true,
-        })
-    }
-
-    /// Materialize the live configurations (Def. 6). Under the automaton
-    /// engine this reconstructs owned `Marked` states and successor vectors
-    /// from the compiled tables — use the session for replay and this only
-    /// for inspection.
-    pub fn configurations(&self) -> Vec<Configuration> {
-        match &self.confs {
-            ConfSet::Direct(confs) => confs.clone(),
-            ConfSet::Automaton { auto, ids } => Self::materialize_ids(auto, ids),
-            ConfSet::Trie { trie, ids, .. } => Self::materialize_ids(trie.automaton(), ids),
-        }
-    }
-
-    fn materialize_ids(auto: &Arc<ProcessAutomaton>, ids: &[StateId]) -> Vec<Configuration> {
-        ids.iter()
-            .map(|&id| {
-                let edges = auto.cached_edges(id).expect(PRE_EXPANDED);
-                Configuration {
-                    state: (*auto.state(id)).clone(),
-                    next: edges
-                        .iter()
-                        .map(|&(observation, sid)| WeakSuccessor {
-                            observation,
-                            state: (*auto.state(sid)).clone(),
-                        })
-                        .collect(),
-                }
-            })
-            .collect()
     }
 
     pub fn consumed(&self) -> usize {
-        self.consumed
+        self.meta.consumed
     }
 
     pub fn is_closed(&self) -> bool {
@@ -456,12 +430,6 @@ impl SessionCore {
                     v.extend(c.next.iter().map(|s| s.observation.to_string()));
                 }
             }
-            ConfSet::Automaton { auto, ids } => {
-                for &id in ids {
-                    let edges = auto.cached_edges(id).expect(PRE_EXPANDED);
-                    v.extend(edges.iter().map(|(o, _)| o.to_string()));
-                }
-            }
             ConfSet::Trie { trie, ids, .. } => {
                 let auto = trie.automaton();
                 for &id in ids.iter() {
@@ -477,30 +445,12 @@ impl SessionCore {
 
     /// Tasks currently running in some configuration.
     pub fn active_tasks(&self) -> Vec<String> {
-        let mut v: Vec<String> = Vec::new();
         match &self.confs {
             ConfSet::Direct(confs) => {
-                for c in confs {
-                    v.extend(c.state.running.iter().map(|(r, q)| format!("{r}.{q}")));
-                }
+                task_labels(confs.iter().flat_map(|c| c.state.running.iter().copied()))
             }
-            ConfSet::Automaton { auto, ids } => {
-                for &id in ids {
-                    let state = auto.state(id);
-                    v.extend(state.running.iter().map(|(r, q)| format!("{r}.{q}")));
-                }
-            }
-            ConfSet::Trie { trie, ids, .. } => {
-                let auto = trie.automaton();
-                for &id in ids.iter() {
-                    let state = auto.state(id);
-                    v.extend(state.running.iter().map(|(r, q)| format!("{r}.{q}")));
-                }
-            }
+            ConfSet::Trie { trie, ids, .. } => running_labels(trie.automaton(), ids),
         }
-        v.sort();
-        v.dedup();
-        v
     }
 
     /// Total `WeakNext` frontier size: the sum of expected-next observation
@@ -508,58 +458,8 @@ impl SessionCore {
     fn frontier_size(&self) -> usize {
         match &self.confs {
             ConfSet::Direct(confs) => confs.iter().map(|c| c.next.len()).sum(),
-            ConfSet::Automaton { auto, ids } => ids
-                .iter()
-                .map(|&id| auto.cached_edges(id).expect(PRE_EXPANDED).len())
-                .sum(),
-            ConfSet::Trie { trie, ids, .. } => {
-                let auto = trie.automaton();
-                ids.iter()
-                    .map(|&id| auto.cached_edges(id).expect(PRE_EXPANDED).len())
-                    .sum()
-            }
+            ConfSet::Trie { trie, ids, .. } => frontier_of(trie.automaton(), ids),
         }
-    }
-
-    /// Token tasks (Fig. 6) flattened across configurations, sorted and
-    /// deduplicated — the evidence-trace rendering of "what could still
-    /// start".
-    fn token_task_set(&self, encoded: &Encoded) -> Vec<String> {
-        let mut v: Vec<String> = match &self.confs {
-            ConfSet::Direct(confs) => confs
-                .iter()
-                .flat_map(|c| {
-                    c.state
-                        .token_tasks(&encoded.observability)
-                        .iter()
-                        .map(|(r, q)| format!("{r}.{q}"))
-                        .collect::<Vec<_>>()
-                })
-                .collect(),
-            ConfSet::Automaton { auto, ids } => ids
-                .iter()
-                .flat_map(|&id| {
-                    auto.token_tasks(id, &encoded.observability)
-                        .iter()
-                        .map(|(r, q)| format!("{r}.{q}"))
-                        .collect::<Vec<_>>()
-                })
-                .collect(),
-            ConfSet::Trie { trie, ids, .. } => {
-                let auto = trie.automaton();
-                ids.iter()
-                    .flat_map(|&id| {
-                        auto.token_tasks(id, &encoded.observability)
-                            .iter()
-                            .map(|(r, q)| format!("{r}.{q}"))
-                            .collect::<Vec<_>>()
-                    })
-                    .collect()
-            }
-        };
-        v.sort();
-        v.dedup();
-        v
     }
 
     /// Feed the next log entry of the case (chronological order is the
@@ -573,9 +473,9 @@ impl SessionCore {
         if let Some(inf) = &self.infringement {
             return Ok(FeedOutcome::Rejected(inf.clone()));
         }
-        let entry_index = self.consumed;
-        if self.case_name.is_none() {
-            self.case_name = Some(entry.case.to_string());
+        let entry_index = self.meta.consumed;
+        if self.meta.case_name.is_none() {
+            self.meta.case_name = Some(entry.case.to_string());
         }
 
         // Chaos failpoints (inert unless a test armed them).
@@ -603,7 +503,7 @@ impl SessionCore {
         }
 
         // Temporal constraint (§4): the whole case must fit in the window.
-        let start = *self.first_time.get_or_insert(entry.time);
+        let start = *self.meta.first_time.get_or_insert(entry.time);
         if let Some(limit) = self.opts.max_case_minutes {
             let elapsed = entry.time.0.saturating_sub(start.0);
             if elapsed > limit {
@@ -679,7 +579,7 @@ impl SessionCore {
                                 self.opts.weaknext,
                                 &self.recorder,
                             )?;
-                            self.explored += next.len();
+                            self.meta.explored += next.len();
                             next_confs.push(Configuration {
                                 state: succ.state.clone(),
                                 next,
@@ -689,77 +589,12 @@ impl SessionCore {
                 }
                 ConfSet::Direct(next_confs)
             }
-            ConfSet::Automaton { auto, ids } => {
-                // The same loop over interned ids: interning is bijective
-                // with `Marked` equality and edge order equals `weak_next`
-                // order, so matches, dedup and exploration counts are
-                // identical to the direct arm.
-                let mut next_ids: Vec<StateId> = Vec::new();
-                let mut seen: HashSet<StateId> = HashSet::new();
-                for &id in ids {
-                    let state = auto.state(id);
-                    let task_running = state
-                        .running
-                        .iter()
-                        .any(|&(r, q)| q == entry.task && role_matches(entry.role, r));
-
-                    // Line 8: absorbed only if active and successful.
-                    if task_running && entry.status == TaskStatus::Success {
-                        if seen.insert(id) {
-                            next_ids.push(id);
-                        }
-                        matches.push(MatchKind::Absorbed);
-                        continue;
-                    }
-
-                    // Lines 9–13: consume a compiled observable edge.
-                    let edges = auto.cached_edges(id).expect(PRE_EXPANDED);
-                    for &(observation, succ_id) in edges.iter() {
-                        let accept = match (observation, entry.status) {
-                            (Observation::Task { role, task }, TaskStatus::Success) => {
-                                task == entry.task && role_matches(entry.role, role)
-                            }
-                            (Observation::Error, TaskStatus::Failure) => true,
-                            _ => false,
-                        };
-                        if !accept {
-                            continue;
-                        }
-                        matches.push(match observation {
-                            Observation::Error => MatchKind::Failed,
-                            Observation::Task { .. } => MatchKind::Started,
-                        });
-                        if seen.insert(succ_id) {
-                            // Expand eagerly (maintaining the invariant) so
-                            // τ-budget errors surface on the same entry as
-                            // the direct engine; a warmed automaton answers
-                            // from the compiled table.
-                            let succ_edges = auto.successors_traced(
-                                succ_id,
-                                &encoded.observability,
-                                self.opts.weaknext,
-                                &self.recorder,
-                            )?;
-                            self.explored += succ_edges.len();
-                            next_ids.push(succ_id);
-                        }
-                    }
-                }
-                ConfSet::Automaton {
-                    auto: auto.clone(),
-                    ids: next_ids,
-                }
-            }
             ConfSet::Trie { trie, frontier, .. } => {
-                // One memoized step: the cache key covers everything the
-                // loops above inspect (frontier row, entry role/task,
+                // One memoized step ([`ReplayTrie::step`]): the same loop
+                // as the direct arm over interned ids, keyed on everything
+                // it inspects (frontier row, entry role/task,
                 // success-vs-failure), so a hit replays the exact match
-                // vector, survivors and exploration delta the automaton
-                // arm would have produced.
-                if !self.trie_bound {
-                    trie.bind(hierarchy)?;
-                    self.trie_bound = true;
-                }
+                // vector, survivors and exploration delta.
                 let step = trie.step(
                     encoded,
                     hierarchy,
@@ -768,7 +603,7 @@ impl SessionCore {
                     self.opts.weaknext,
                     &self.recorder,
                 )?;
-                self.explored += step.explored_delta;
+                self.meta.explored += step.explored_delta;
                 matches.extend_from_slice(&step.matches);
                 ConfSet::Trie {
                     trie: trie.clone(),
@@ -782,7 +617,7 @@ impl SessionCore {
         // case. Checked before the verdict so an exhausted case reads as
         // inconclusive rather than as a spurious infringement.
         if let Some(limit) = self.opts.max_explored {
-            if self.explored > limit {
+            if self.meta.explored > limit {
                 return Err(CheckError::StepBudgetExhausted { entry_index, limit });
             }
         }
@@ -819,7 +654,7 @@ impl SessionCore {
                 entry_index,
             });
         }
-        self.peak = self.peak.max(next_confs.len());
+        self.meta.peak = self.meta.peak.max(next_confs.len());
         if self.opts.record_trace {
             let token_tasks: Vec<Vec<String>> = match &next_confs {
                 ConfSet::Direct(confs) => confs
@@ -827,15 +662,6 @@ impl SessionCore {
                     .map(|c| {
                         c.state
                             .token_tasks(&encoded.observability)
-                            .iter()
-                            .map(|(r, q)| format!("{r}.{q}"))
-                            .collect()
-                    })
-                    .collect(),
-                ConfSet::Automaton { auto, ids } => ids
-                    .iter()
-                    .map(|&id| {
-                        auto.token_tasks(id, &encoded.observability)
                             .iter()
                             .map(|(r, q)| format!("{r}.{q}"))
                             .collect()
@@ -861,18 +687,20 @@ impl SessionCore {
             });
         }
         self.confs = next_confs;
-        self.consumed += 1;
+        self.meta.consumed += 1;
         if self.opts.record_evidence {
             let confs = match &self.confs {
-                ConfSet::Direct(_) => RawConfs::Eager {
+                // Token tasks (Fig. 6) flattened across configurations —
+                // the evidence rendering of "what could still start".
+                ConfSet::Direct(confs) => RawConfs::Eager {
                     active: self.active_tasks(),
-                    tokens: self.token_task_set(encoded),
+                    tokens: task_labels(
+                        confs
+                            .iter()
+                            .flat_map(|c| c.state.token_tasks(&encoded.observability)),
+                    ),
                     frontier: self.frontier_size(),
-                    configurations: self.confs.len(),
-                },
-                ConfSet::Automaton { ids, .. } => match ids.as_slice() {
-                    [id] => RawConfs::One(*id),
-                    _ => RawConfs::Many(ids.clone()),
+                    configurations: confs.len(),
                 },
                 ConfSet::Trie { ids, .. } => match ids.as_ref() {
                     [id] => RawConfs::One(*id),
@@ -911,9 +739,6 @@ impl SessionCore {
         );
         let confs = match &self.confs {
             ConfSet::Direct(confs) => confs.iter().map(|c| c.state.clone()).collect(),
-            ConfSet::Automaton { auto, ids } => {
-                ids.iter().map(|&id| (*auto.state(id)).clone()).collect()
-            }
             ConfSet::Trie { trie, ids, .. } => {
                 let auto = trie.automaton();
                 ids.iter().map(|&id| (*auto.state(id)).clone()).collect()
@@ -921,11 +746,7 @@ impl SessionCore {
         };
         SessionState {
             confs,
-            peak: self.peak,
-            explored: self.explored,
-            consumed: self.consumed,
-            first_time: self.first_time,
-            case_name: self.case_name.clone(),
+            meta: self.meta.clone(),
         }
     }
 
@@ -935,7 +756,6 @@ impl SessionCore {
     pub fn conf_ids(&self) -> Option<&[StateId]> {
         match &self.confs {
             ConfSet::Direct(_) => None,
-            ConfSet::Automaton { ids, .. } => Some(ids),
             ConfSet::Trie { ids, .. } => Some(ids),
         }
     }
@@ -947,245 +767,7 @@ impl SessionCore {
             self.infringement.is_none(),
             "closed sessions are retired, not checkpointed"
         );
-        SessionMeta {
-            peak: self.peak,
-            explored: self.explored,
-            consumed: self.consumed,
-            first_time: self.first_time,
-            case_name: self.case_name.clone(),
-        }
-    }
-
-    /// Rebuild an automaton-engine session from raw state ids — the cheap
-    /// rehydrate matching [`SessionCore::conf_ids`] / `export_meta`.
-    ///
-    /// The ids must come from the same run and the same shared automaton
-    /// (which only ever grows, so any id this process issued stays valid);
-    /// an out-of-range id is rejected as a checkpoint error rather than
-    /// trusted. Edges are already compiled for every id the live set ever
-    /// held — `successors_traced` is then a cache hit — so the
-    /// [`PRE_EXPANDED`] invariant is restored without exploration work,
-    /// and like [`SessionCore::from_state`] none of it counts toward
-    /// `explored`.
-    pub fn from_interned(
-        encoded: &Encoded,
-        opts: CheckOptions,
-        ids: Vec<StateId>,
-        meta: SessionMeta,
-    ) -> Result<SessionCore, CheckError> {
-        debug_assert!(matches!(opts.engine, Engine::Automaton));
-        let auto = encoded.automaton.clone();
-        let known = auto.len() as u64;
-        for &id in &ids {
-            if u64::from(id) >= known {
-                return Err(CheckError::Checkpoint {
-                    detail: format!("churn checkpoint id {id} outside automaton ({known} states)"),
-                });
-            }
-            auto.successors_traced(id, &encoded.observability, opts.weaknext, &Recorder::noop())?;
-        }
-        Ok(SessionCore {
-            opts,
-            confs: ConfSet::Automaton { auto, ids },
-            steps: Vec::new(),
-            peak: meta.peak,
-            explored: meta.explored,
-            consumed: meta.consumed,
-            first_time: meta.first_time,
-            infringement: None,
-            deadline: opts
-                .case_deadline_ms
-                .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms)),
-            recorder: Recorder::noop(),
-            case_name: meta.case_name,
-            evidence_steps: Vec::new(),
-            evidence_violation: None,
-            trie_bound: true,
-        })
-    }
-
-    /// [`SessionCore::from_interned`] for the trie engine: the ids are
-    /// validated and re-expanded against the trie's automaton, then
-    /// interned as a frontier row so the rehydrated session resumes
-    /// memoized stepping exactly where the evicted one left off.
-    pub fn from_interned_with_trie(
-        encoded: &Encoded,
-        opts: CheckOptions,
-        trie: Arc<ReplayTrie>,
-        hierarchy: &RoleHierarchy,
-        ids: Vec<StateId>,
-        meta: SessionMeta,
-    ) -> Result<SessionCore, CheckError> {
-        debug_assert!(matches!(opts.engine, Engine::Trie));
-        trie.bind(hierarchy)?;
-        let auto = trie.automaton().clone();
-        let known = auto.len() as u64;
-        for &id in &ids {
-            if u64::from(id) >= known {
-                return Err(CheckError::Checkpoint {
-                    detail: format!("churn checkpoint id {id} outside automaton ({known} states)"),
-                });
-            }
-            auto.successors_traced(id, &encoded.observability, opts.weaknext, &Recorder::noop())?;
-        }
-        let (frontier, row) = trie.intern_frontier(&ids);
-        Ok(SessionCore {
-            opts,
-            confs: ConfSet::Trie {
-                trie,
-                frontier,
-                ids: row,
-            },
-            steps: Vec::new(),
-            peak: meta.peak,
-            explored: meta.explored,
-            consumed: meta.consumed,
-            first_time: meta.first_time,
-            infringement: None,
-            deadline: opts
-                .case_deadline_ms
-                .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms)),
-            recorder: Recorder::noop(),
-            case_name: meta.case_name,
-            evidence_steps: Vec::new(),
-            evidence_violation: None,
-            trie_bound: true,
-        })
-    }
-
-    /// Rebuild a session from an exported state — the rehydrate half of
-    /// checkpoint/evict/rehydrate.
-    ///
-    /// Configurations are re-admitted in export order. Under the automaton
-    /// engine each state is interned (a no-op when the shared automaton
-    /// already knows it) and its successor table compiled, restoring the
-    /// [`PRE_EXPANDED`] invariant; under the direct engine `weak_next` is
-    /// recomputed. Neither counts toward `explored` — the exported counter
-    /// already includes everything the original session explored, so a
-    /// rehydrated session and its unevicted twin keep identical counters.
-    /// The wall-clock `case_deadline_ms` budget is re-armed at rehydration
-    /// (wall time spent evicted is not replay work).
-    pub fn from_state(
-        encoded: &Encoded,
-        opts: CheckOptions,
-        state: SessionState,
-    ) -> Result<SessionCore, CheckError> {
-        SessionCore::from_state_with_recorder(encoded, opts, state, Recorder::noop())
-    }
-
-    /// [`SessionCore::from_state`] with an event recorder.
-    pub fn from_state_with_recorder(
-        encoded: &Encoded,
-        opts: CheckOptions,
-        state: SessionState,
-        recorder: Recorder,
-    ) -> Result<SessionCore, CheckError> {
-        let (confs, trie_bound) = match opts.engine {
-            Engine::Direct => {
-                let mut confs = Vec::with_capacity(state.confs.len());
-                for m in state.confs {
-                    let next =
-                        weak_next_traced(&m, &encoded.observability, opts.weaknext, &recorder)?;
-                    confs.push(Configuration { state: m, next });
-                }
-                (ConfSet::Direct(confs), true)
-            }
-            Engine::Automaton => {
-                let auto = encoded.automaton.clone();
-                let mut ids = Vec::with_capacity(state.confs.len());
-                for m in state.confs {
-                    let id = auto.intern(m);
-                    auto.successors_traced(id, &encoded.observability, opts.weaknext, &recorder)?;
-                    ids.push(id);
-                }
-                (ConfSet::Automaton { auto, ids }, true)
-            }
-            Engine::Trie => {
-                // Hierarchy-free fallback (see `with_recorder`); use
-                // [`SessionCore::from_state_with_trie`] for sharing.
-                let trie = Arc::new(ReplayTrie::new(encoded.automaton.clone()));
-                let confs =
-                    Self::trie_confs_from_state(encoded, opts, &trie, state.confs, &recorder)?;
-                (confs, false)
-            }
-        };
-        Ok(SessionCore {
-            opts,
-            confs,
-            steps: Vec::new(),
-            peak: state.peak,
-            explored: state.explored,
-            consumed: state.consumed,
-            first_time: state.first_time,
-            infringement: None,
-            deadline: opts
-                .case_deadline_ms
-                .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms)),
-            recorder,
-            case_name: state.case_name,
-            evidence_steps: Vec::new(),
-            evidence_violation: None,
-            trie_bound,
-        })
-    }
-
-    /// [`SessionCore::from_state`] for the trie engine with a *shared*
-    /// trie: states are re-interned and expanded against the trie's
-    /// automaton and the live set becomes an interned frontier row.
-    pub fn from_state_with_trie(
-        encoded: &Encoded,
-        opts: CheckOptions,
-        trie: Arc<ReplayTrie>,
-        hierarchy: &RoleHierarchy,
-        state: SessionState,
-        recorder: Recorder,
-    ) -> Result<SessionCore, CheckError> {
-        debug_assert!(matches!(opts.engine, Engine::Trie));
-        trie.bind(hierarchy)?;
-        let confs = Self::trie_confs_from_state(encoded, opts, &trie, state.confs, &recorder)?;
-        Ok(SessionCore {
-            opts,
-            confs,
-            steps: Vec::new(),
-            peak: state.peak,
-            explored: state.explored,
-            consumed: state.consumed,
-            first_time: state.first_time,
-            infringement: None,
-            deadline: opts
-                .case_deadline_ms
-                .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms)),
-            recorder,
-            case_name: state.case_name,
-            evidence_steps: Vec::new(),
-            evidence_violation: None,
-            trie_bound: true,
-        })
-    }
-
-    /// Intern exported `Marked` states into the trie's automaton, restore
-    /// the [`PRE_EXPANDED`] invariant, and intern the resulting live set as
-    /// a frontier row.
-    fn trie_confs_from_state(
-        encoded: &Encoded,
-        opts: CheckOptions,
-        trie: &Arc<ReplayTrie>,
-        states: Vec<Marked>,
-        recorder: &Recorder,
-    ) -> Result<ConfSet, CheckError> {
-        let auto = trie.automaton().clone();
-        let mut ids = Vec::with_capacity(states.len());
-        for m in states {
-            let id = auto.intern(m);
-            auto.successors_traced(id, &encoded.observability, opts.weaknext, recorder)?;
-            ids.push(id);
-        }
-        let (frontier, row) = trie.intern_frontier(&ids);
-        Ok(ConfSet::Trie {
-            trie: trie.clone(),
-            frontier,
-            ids: row,
-        })
+        self.meta.clone()
     }
 
     /// Test hook: tighten the τ-budget of an open session after the fact,
@@ -1216,14 +798,6 @@ impl SessionCore {
                             }
                         }
                     }
-                    ConfSet::Automaton { auto, ids } => {
-                        for &id in ids {
-                            if auto.can_quiesce(id, &encoded.observability, self.opts.weaknext)? {
-                                can_complete = true;
-                                break;
-                            }
-                        }
-                    }
                     ConfSet::Trie { trie, ids, .. } => {
                         let auto = trie.automaton();
                         for &id in ids.iter() {
@@ -1239,13 +813,12 @@ impl SessionCore {
         };
         let evidence = if self.opts.record_evidence {
             Some(RawEvidence {
-                case: self.case_name.clone().unwrap_or_default(),
+                case: self.meta.case_name.clone().unwrap_or_default(),
                 // The session does not know the purpose; the auditor fills
                 // it in after purpose resolution.
                 purpose: String::new(),
                 engine: match self.opts.engine {
                     Engine::Direct => "direct",
-                    Engine::Automaton => "automaton",
                     Engine::Trie => "trie",
                 },
                 verdict: match &verdict {
@@ -1259,7 +832,6 @@ impl SessionCore {
                 violation: self.evidence_violation.clone(),
                 auto: match &self.confs {
                     ConfSet::Direct(_) => None,
-                    ConfSet::Automaton { auto, .. } => Some(auto.clone()),
                     ConfSet::Trie { trie, .. } => Some(trie.automaton().clone()),
                 },
             })
@@ -1269,8 +841,8 @@ impl SessionCore {
         Ok(CaseCheck {
             verdict,
             steps: self.steps.clone(),
-            peak_configurations: self.peak,
-            explored_successors: self.explored,
+            peak_configurations: self.meta.peak,
+            explored_successors: self.meta.explored,
             evidence,
         })
     }
@@ -1306,29 +878,15 @@ impl<'a> ReplaySession<'a> {
         Ok(ReplaySession {
             encoded,
             hierarchy,
-            core: SessionCore::new(encoded, opts)?,
+            core: SessionCore::open(
+                encoded,
+                hierarchy,
+                opts,
+                SessionStart::Initial,
+                None,
+                &Recorder::noop(),
+            )?,
         })
-    }
-
-    /// [`ReplaySession::new`] with an event recorder (see
-    /// [`SessionCore::with_recorder`]).
-    pub fn with_recorder(
-        encoded: &'a Encoded,
-        hierarchy: &'a RoleHierarchy,
-        opts: CheckOptions,
-        recorder: Recorder,
-    ) -> Result<ReplaySession<'a>, CheckError> {
-        Ok(ReplaySession {
-            encoded,
-            hierarchy,
-            core: SessionCore::with_recorder(encoded, opts, recorder)?,
-        })
-    }
-
-    /// The live configurations (Def. 6), materialized (see
-    /// [`SessionCore::configurations`]).
-    pub fn configurations(&self) -> Vec<Configuration> {
-        self.core.configurations()
     }
 
     /// Entries consumed so far.
@@ -1521,37 +1079,82 @@ mod tests {
         assert!(caught.is_err());
     }
 
+    fn open(
+        encoded: &Encoded,
+        h: &RoleHierarchy,
+        opts: CheckOptions,
+        start: SessionStart,
+    ) -> SessionCore {
+        SessionCore::open(encoded, h, opts, start, None, &Recorder::noop()).unwrap()
+    }
+
     #[test]
     fn exported_state_rehydrates_to_an_identical_twin() {
-        for engine in [Engine::Direct, Engine::Automaton, Engine::Trie] {
+        for engine in [Engine::Direct, Engine::Trie] {
             let encoded = encode(&fig8_exclusive());
             let h = RoleHierarchy::new();
             let opts = CheckOptions {
                 engine,
                 ..CheckOptions::default()
             };
-            let mut twin = SessionCore::new(&encoded, opts).unwrap();
+            let mut twin = open(&encoded, &h, opts, SessionStart::Initial);
             twin.feed(&encoded, &h, &entry("T", 1)).unwrap();
 
-            // Checkpoint mid-case, rebuild, and compare against the twin
-            // that never left memory.
+            // Checkpoint mid-case through both rehydrate starts, rebuild,
+            // and compare against the twin that never left memory.
             let state = twin.export_state();
-            let mut back = SessionCore::from_state(&encoded, opts, state.clone()).unwrap();
-            assert_eq!(back.export_state(), state, "export is a fixed point");
+            let interned = SessionStart::Interned {
+                ids: twin.conf_ids().map_or_else(
+                    || {
+                        state
+                            .confs
+                            .iter()
+                            .map(|m| encoded.automaton.intern(m.clone()))
+                            .collect()
+                    },
+                    <[StateId]>::to_vec,
+                ),
+                meta: twin.export_meta(),
+            };
             let e = entry("T1", 2);
-            let a = twin.feed(&encoded, &h, &e).unwrap();
-            let b = back.feed(&encoded, &h, &e).unwrap();
-            assert_eq!(a, b, "{engine:?}: outcomes diverged");
-            assert_eq!(back.export_state(), twin.export_state());
-            assert_eq!(
-                back.finish(&encoded).unwrap().verdict,
-                twin.finish(&encoded).unwrap().verdict
-            );
-            assert_eq!(
-                back.finish(&encoded).unwrap().explored_successors,
-                twin.finish(&encoded).unwrap().explored_successors
-            );
+            for start in [SessionStart::State(state.clone()), interned] {
+                let mut back = open(&encoded, &h, opts, start);
+                assert_eq!(back.export_state(), state, "export is a fixed point");
+                let mut twin = twin.clone();
+                let a = twin.feed(&encoded, &h, &e).unwrap();
+                let b = back.feed(&encoded, &h, &e).unwrap();
+                assert_eq!(a, b, "{engine:?}: outcomes diverged");
+                assert_eq!(back.export_state(), twin.export_state());
+                let (back, twin) = (
+                    back.finish(&encoded).unwrap(),
+                    twin.finish(&encoded).unwrap(),
+                );
+                assert_eq!(back.verdict, twin.verdict);
+                assert_eq!(back.explored_successors, twin.explored_successors);
+                assert_eq!(back.peak_configurations, twin.peak_configurations);
+            }
         }
+    }
+
+    #[test]
+    fn interned_start_rejects_ids_outside_the_automaton() {
+        let encoded = encode(&fig8_exclusive());
+        let h = RoleHierarchy::new();
+        let twin = open(&encoded, &h, CheckOptions::default(), SessionStart::Initial);
+        let start = SessionStart::Interned {
+            ids: vec![encoded.automaton.len() as StateId],
+            meta: twin.export_meta(),
+        };
+        let err = SessionCore::open(
+            &encoded,
+            &h,
+            CheckOptions::default(),
+            start,
+            None,
+            &Recorder::noop(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, CheckError::Checkpoint { .. }), "{err:?}");
     }
 
     #[test]

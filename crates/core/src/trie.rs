@@ -9,13 +9,16 @@
 //! triple `(role, task, failed)` — everything the transition depends on.
 //! Duplicate prefixes across cases then cost one automaton walk plus a
 //! read-locked map probe per entry, skipping the per-edge role-hierarchy
-//! DFS and the per-step dedup/alloc of the automaton arm.
+//! DFS and the per-step dedup/alloc of an uncached step.
 //!
-//! The trie is a *pure cache* over the automaton engine: a memoized step
-//! stores exactly what the [`Engine::Automaton`](crate::replay::Engine)
-//! arm would have produced (match vector, successor frontier in insertion
-//! order, explored-successor delta), so verdicts, traces, counters and
-//! evidence are byte-identical — property-tested in `tests/trie.rs`.
+//! The trie is the production replay engine
+//! ([`Engine::Trie`](crate::replay::Engine)) and a *pure cache* over the
+//! shared automaton: `ReplayTrie::compute` is the one implementation of
+//! an Algorithm 1 step over interned state ids, and a memoized step stores
+//! exactly what it produced (match vector, successor frontier in insertion
+//! order, explored-successor delta). Verdicts, traces, counters and
+//! evidence are byte-identical to the direct Algorithm 1 oracle —
+//! property-tested in `tests/trie.rs` and `tests/properties.rs`.
 //!
 //! **Sharing.** One trie lives on each
 //! [`RegisteredProcess`](crate::auditor::RegisteredProcess), so
@@ -48,8 +51,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Same invariant as the session's automaton arm: ids in interned frontier
-/// rows were expanded when inserted, so their edges are always compiled.
+/// Ids in interned frontier rows were expanded when inserted (the session
+/// restores this on every admission), so their edges are always compiled.
 const PRE_EXPANDED: &str = "trie frontier ids are expanded on insertion";
 
 /// Transition-cache shards (keys are hashed ids; contention is write-only
@@ -75,8 +78,8 @@ struct TransitionKey {
     failed: bool,
 }
 
-/// One memoized `configuration-set × observation` step — exactly the
-/// automaton arm's output for that step, engine-equivalence-grade.
+/// One memoized `configuration-set × observation` step — exactly
+/// `ReplayTrie::compute`'s output for that step.
 #[derive(Debug)]
 pub struct CachedStep {
     /// Match vector in configuration/edge order (the evidence labels).
@@ -212,7 +215,7 @@ impl TrieStats {
 
 /// The shared prefix-sharing replay cache of one process. See the module
 /// docs for the contract; sessions drive it through
-/// [`SessionCore::with_trie`](crate::session::SessionCore::with_trie).
+/// [`SessionCore::open`](crate::session::SessionCore::open).
 pub struct ReplayTrie {
     auto: Arc<ProcessAutomaton>,
     frontiers: FrontierTable,
@@ -293,26 +296,8 @@ impl ReplayTrie {
         Ok(())
     }
 
-    /// Open a session's initial frontier: the interned row holding the
-    /// process's (expanded) initial state, plus the initial explored
-    /// count — exactly `SessionCore::with_recorder`'s automaton arm.
-    pub fn root(
-        &self,
-        encoded: &Encoded,
-        limits: WeakNextLimits,
-        recorder: &Recorder,
-    ) -> Result<(FrontierId, Arc<[StateId]>, usize), CheckError> {
-        debug_assert!(Arc::ptr_eq(&self.auto, &encoded.automaton));
-        let id = self.auto.initial_id(&encoded.service);
-        let edges = self
-            .auto
-            .successors_traced(id, &encoded.observability, limits, recorder)?;
-        let fid = self.frontiers.intern(&[id]);
-        Ok((fid, self.frontiers.row(fid), edges.len()))
-    }
-
-    /// Intern an explicit frontier row (rehydration paths). Every id must
-    /// already satisfy the expanded-on-insertion invariant.
+    /// Intern a frontier row (a session's starting configuration set).
+    /// Every id must already satisfy the expanded-on-insertion invariant.
     pub fn intern_frontier(&self, ids: &[StateId]) -> (FrontierId, Arc<[StateId]>) {
         let fid = self.frontiers.intern(ids);
         (fid, self.frontiers.row(fid))
@@ -322,7 +307,8 @@ impl ReplayTrie {
     /// `frontier`. Served from the cache when this set has consumed this
     /// observation before (on any case); computed via the shared automaton
     /// and memoized otherwise. τ-budget errors propagate uncached, like
-    /// the automaton's own edge cache.
+    /// the automaton's own edge cache. The caller must have
+    /// [bound](ReplayTrie::bind) the trie to `hierarchy`.
     pub fn step(
         &self,
         encoded: &Encoded,
@@ -355,9 +341,13 @@ impl ReplayTrie {
         Ok(step)
     }
 
-    /// The automaton arm of `SessionCore::feed`, verbatim: absorbed check,
-    /// compiled-edge acceptance, insertion-order dedup (bitset instead of
-    /// `HashSet`), eager successor expansion.
+    /// One Algorithm 1 step over interned ids — the direct arm of
+    /// `SessionCore::feed` on compiled tables: absorbed check,
+    /// compiled-edge acceptance, insertion-order dedup (interning is
+    /// bijective with `Marked` equality and edge order equals `weak_next`
+    /// order, so matches, dedup and exploration counts agree with the
+    /// direct arm), eager successor expansion so τ-budget errors surface
+    /// on the same entry.
     fn compute(
         &self,
         encoded: &Encoded,
@@ -519,19 +509,8 @@ pub(crate) fn replay_case_memoized(
             .fetch_add(hit.consumed(entries.len()) as u64, Ordering::Relaxed);
         return Ok(hit.materialize(entries));
     }
-    let mut core = crate::session::SessionCore::with_trie(
-        encoded,
-        *opts,
-        trie.clone(),
-        hierarchy,
-        recorder.clone(),
-    )?;
-    for e in entries {
-        if let crate::session::FeedOutcome::Rejected(_) = core.feed(encoded, hierarchy, e)? {
-            break;
-        }
-    }
-    let check = core.finish(encoded)?;
+    let check =
+        crate::replay::replay_entries(encoded, hierarchy, entries, opts, recorder, Some(trie))?;
     if let Some(cached) = CachedCase::from_check(&check) {
         trie.insert_case(key, cached);
     }

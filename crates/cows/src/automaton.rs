@@ -43,8 +43,8 @@ use std::sync::{Arc, OnceLock};
 pub type StateId = u32;
 
 /// The observable edges out of one state, in [`weak_next`]'s deterministic
-/// order (so the automaton engine visits successors exactly as the direct
-/// engine does).
+/// order (so replay over the automaton visits successors exactly as the
+/// direct engine does).
 pub type Edges = Arc<Vec<(Observation, StateId)>>;
 
 /// Intern-table shards; transitions memoization already showed 16–64 shards

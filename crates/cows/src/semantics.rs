@@ -692,7 +692,7 @@ mod tests {
         assert!(mid.misses > before.misses);
         assert!(mid.evictions >= before.evictions);
 
-        // Drive the automaton engine over the same term; the shared memo
+        // Drive the compiled automaton over the same term; the shared memo
         // keeps counting up — no reset, no divergent counter space.
         let auto = crate::automaton::ProcessAutomaton::new();
         let o = crate::observe::TaskObservability::with([sym("mono")], [sym("Tick")]);

@@ -14,8 +14,8 @@
 //! handing them over. Crucially there are **no timestamps** in the
 //! serialized form — the JSONL line for a case is a pure function of the
 //! trail and the process model, which is what lets the determinism test
-//! demand byte-identical traces across runs *and* across the
-//! `direct`/`automaton` engines.
+//! demand byte-identical traces across runs *and* between the production
+//! `trie` engine and the `direct` oracle.
 
 use std::fmt::Write as _;
 
@@ -62,7 +62,7 @@ pub struct EvidenceViolation {
 pub struct CaseEvidence {
     pub case: String,
     pub purpose: String,
-    /// Engine label: `direct`, `automaton` or `trie`. Recorded for
+    /// Engine label: `direct` (the oracle) or `trie` (production). Recorded for
     /// provenance; the steps themselves must not differ between engines.
     pub engine: String,
     /// Verdict label: `compliant`, `compliant-incomplete`, `infringement`.
@@ -206,7 +206,7 @@ mod tests {
         CaseEvidence {
             case: "41".into(),
             purpose: "treatment".into(),
-            engine: "automaton".into(),
+            engine: "trie".into(),
             verdict: "infringement".into(),
             steps: vec![EvidenceStep {
                 index: 0,

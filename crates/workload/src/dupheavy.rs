@@ -13,9 +13,9 @@
 //! Under [`purpose-control`'s trie engine] the stamped cases replay almost
 //! entirely from the transition cache (the memoization key is the
 //! configuration frontier plus the entry's role/task/status — exactly what
-//! is shared here); the automaton engine re-walks every edge per case.
-//! The P17 bench measures that gap; the equivalence tests pin that the
-//! verdicts do not move.
+//! is shared here); a replay through a private, per-case trie re-walks
+//! every edge. The P17 bench measures that gap; the equivalence tests pin
+//! that the verdicts do not move.
 
 use crate::attacks::{self, Injection};
 use crate::hospital::healthcare_profiles;

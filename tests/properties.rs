@@ -16,9 +16,11 @@ use cows::term::{choice, ep, invoke, par, protect, repl, request, Request, Servi
 use policy::hierarchy::RoleHierarchy;
 use proptest::prelude::*;
 use purpose_control::naive::{naive_check, NaiveLimits};
-use purpose_control::replay::{check_case, CheckOptions, Engine};
+use purpose_control::replay::{check_case, check_case_with, CheckOptions, Engine};
+use purpose_control::ReplayTrie;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use workload::procgen::{generate, ProcGenConfig};
 use workload::simulate::{simulate_case, SimConfig};
 
@@ -194,12 +196,13 @@ proptest! {
         prop_assert!(!slow.accepted);
     }
 
-    /// The automaton engine is a pure compilation of the direct engine: on
-    /// generated processes, simulated trails and attacked variants the two
-    /// produce identical verdicts (including infringement indices, expected
-    /// sets and active tasks — all inside `Verdict`'s equality) and
-    /// identical exploration counters. A second replay on the same warmed
-    /// automaton must not change the answer either.
+    /// The production engine is a pure compilation of the direct Algorithm 1
+    /// oracle: on generated processes, simulated trails and attacked
+    /// variants the two produce identical verdicts (including infringement
+    /// indices, expected sets and active tasks — all inside `Verdict`'s
+    /// equality) and identical exploration counters. Neither a second
+    /// replay on the same warmed automaton nor replays served from a shared
+    /// trie (transition cache, then whole-case memo) may change the answer.
     #[test]
     fn engines_are_verdict_equivalent(seed in 0u64..150, shape in 0usize..3, attack in 0usize..5) {
         let cfg = match shape {
@@ -241,25 +244,28 @@ proptest! {
             engine: Engine::Direct,
             ..CheckOptions::default()
         }).unwrap();
-        let auto_opts = CheckOptions {
-            engine: Engine::Automaton,
-            ..CheckOptions::default()
-        };
-        let cold = check_case(&encoded, &h, &refs, &auto_opts).unwrap();
-        let warm = check_case(&encoded, &h, &refs, &auto_opts).unwrap();
+        let opts = CheckOptions::default();
+        prop_assert_eq!(opts.engine, Engine::Trie);
+        let cold = check_case(&encoded, &h, &refs, &opts).unwrap();
+        let warm = check_case(&encoded, &h, &refs, &opts).unwrap();
+        let trie = Arc::new(ReplayTrie::new(encoded.automaton.clone()));
+        let noop = obs::Recorder::noop();
+        let stepped = check_case_with(&encoded, &h, &refs, &opts, &noop, Some(&trie)).unwrap();
+        let memoized = check_case_with(&encoded, &h, &refs, &opts, &noop, Some(&trie)).unwrap();
 
-        for auto in [&cold, &warm] {
-            prop_assert_eq!(&direct.verdict, &auto.verdict);
-            prop_assert_eq!(direct.peak_configurations, auto.peak_configurations);
-            prop_assert_eq!(direct.explored_successors, auto.explored_successors);
+        for prod in [&cold, &warm, &stepped, &memoized] {
+            prop_assert_eq!(&direct.verdict, &prod.verdict);
+            prop_assert_eq!(direct.peak_configurations, prod.peak_configurations);
+            prop_assert_eq!(direct.explored_successors, prod.explored_successors);
         }
     }
 
     /// Snapshot persistence is replay-invisible: for generated processes
     /// (and attacked trail variants), verdicts, traces and exploration
-    /// counters are byte-identical across the direct engine, a cold
-    /// automaton, and a fresh automaton warm-loaded from the cold one's
-    /// snapshot — and the warm replay never runs `weak_next` at all.
+    /// counters are byte-identical across the direct oracle and the
+    /// production engine, both on a cold automaton and on a fresh one
+    /// warm-loaded from the cold one's snapshot — and the warm replay never
+    /// runs `weak_next` at all.
     #[test]
     fn snapshot_round_trip_is_replay_invisible(
         seed in 0u64..120, shape in 0usize..3, attack in 0usize..5
@@ -305,7 +311,7 @@ proptest! {
 
         let direct = check_case(&encode(&model), &h, &refs, &opts(Engine::Direct)).unwrap();
         let cold_enc = encode(&model);
-        let cold = check_case(&cold_enc, &h, &refs, &opts(Engine::Automaton)).unwrap();
+        let cold = check_case(&cold_enc, &h, &refs, &opts(Engine::Trie)).unwrap();
 
         // Persist the cold compilation, load it into a fresh encoding.
         let warm_enc = encode(&model);
@@ -313,7 +319,7 @@ proptest! {
             .load_snapshot_bytes(&cold_enc.snapshot_bytes())
             .expect("snapshot of a fresh compilation loads");
         prop_assert_eq!(report.snapshot_states, cold_enc.automaton.len());
-        let warm = check_case(&warm_enc, &h, &refs, &opts(Engine::Automaton)).unwrap();
+        let warm = check_case(&warm_enc, &h, &refs, &opts(Engine::Trie)).unwrap();
 
         for replayed in [&cold, &warm] {
             prop_assert_eq!(&direct.verdict, &replayed.verdict);

@@ -79,21 +79,21 @@ fn evidence_lines(engine: Engine) -> Vec<String> {
     lines
 }
 
-/// The Fig. 4 evidence traces are byte-identical across runs and across
-/// `--engine automaton|direct` (modulo the provenance `engine` field):
-/// the trace records what Algorithm 1 did, and both engines are proven to
-/// do the same thing.
+/// The Fig. 4 evidence traces are byte-identical across runs and between
+/// the production engine and the direct Algorithm 1 oracle (modulo the
+/// provenance `engine` field): the trace records what Algorithm 1 did, and
+/// both engines are proven to do the same thing.
 #[test]
 fn figure4_evidence_is_deterministic_and_engine_identical() {
     let direct = evidence_lines(Engine::Direct);
     let direct_again = evidence_lines(Engine::Direct);
     assert_eq!(direct, direct_again, "direct traces drift across runs");
 
-    let automaton = evidence_lines(Engine::Automaton);
-    let automaton_again = evidence_lines(Engine::Automaton);
+    let production = evidence_lines(Engine::Trie);
+    let production_again = evidence_lines(Engine::Trie);
     assert_eq!(
-        automaton, automaton_again,
-        "automaton traces drift across runs"
+        production, production_again,
+        "production traces drift across runs"
     );
 
     let strip_engine = |lines: &[String]| -> Vec<String> {
@@ -101,13 +101,13 @@ fn figure4_evidence_is_deterministic_and_engine_identical() {
             .iter()
             .map(|l| {
                 l.replace("\"engine\":\"direct\"", "\"engine\":\"_\"")
-                    .replace("\"engine\":\"automaton\"", "\"engine\":\"_\"")
+                    .replace("\"engine\":\"trie\"", "\"engine\":\"_\"")
             })
             .collect()
     };
     assert_eq!(
         strip_engine(&direct),
-        strip_engine(&automaton),
+        strip_engine(&production),
         "evidence differs between engines"
     );
 
@@ -170,7 +170,7 @@ fn metrics_export_matches_committed_schema() {
 #[test]
 fn trace_lines_match_committed_schema() {
     let trace_schema = schema("trace.schema.json");
-    for line in evidence_lines(Engine::Automaton) {
+    for line in evidence_lines(Engine::Trie) {
         let doc = parse_json(&line).expect("trace line parses");
         let errors = validate(&doc, &trace_schema);
         assert!(errors.is_empty(), "schema violations in {line}: {errors:?}");

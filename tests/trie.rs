@@ -1,13 +1,14 @@
-//! Trie-engine equivalence: the prefix-sharing replay trie is a pure
-//! memoization of the automaton engine, so every observable output —
+//! Production-engine equivalence: replay through the prefix-sharing trie
+//! is a pure compilation of Algorithm 1, so every observable output —
 //! verdicts, evidence traces, Algorithm-1 counters — must be byte-identical
-//! between the two, on every workload and at every thread count. These
-//! tests pin that, plus the trie's own counters and its flush path.
+//! to the direct Algorithm 1 oracle (`Engine::Direct`), on every workload
+//! and at every thread count. These tests pin that, plus the trie's own
+//! counters and its flush path.
 
 use audit::entry::LogEntry;
 use audit::samples::figure4_trail;
 use audit::trail::AuditTrail;
-use bpmn::encode::encode;
+use bpmn::encode::{encode, Encoded};
 use bpmn::models::{clinical_trial, healthcare_treatment};
 use cows::symbol::Symbol;
 use obs::json::{parse_json, validate};
@@ -51,7 +52,9 @@ fn dupheavy_trail(seed: u64) -> AuditTrail {
     .trail
 }
 
-/// The full per-case fingerprint two engines must agree on.
+/// The full per-case fingerprint two engines must agree on: the whole
+/// outcome (infringement index, expected and active sets, severity), the
+/// peak configuration count and the case size.
 fn report_fingerprint(report: &AuditReport) -> BTreeMap<Symbol, (String, usize, usize)> {
     report
         .cases
@@ -59,43 +62,113 @@ fn report_fingerprint(report: &AuditReport) -> BTreeMap<Symbol, (String, usize, 
         .map(|c| {
             (
                 c.case,
-                (
-                    purpose_control::auditor::outcome_label(&c.outcome).to_string(),
-                    c.peak_configurations,
-                    c.entries,
-                ),
+                (format!("{:?}", c.outcome), c.peak_configurations, c.entries),
             )
         })
         .collect()
 }
 
-/// Satellite: the duplicate-heavy property — 90%+ shared prefixes, trie vs
-/// automaton byte-identical verdicts and counters at 1, 2 and 8 threads.
+/// Per-case `(verdict, explored_successors, peak_configurations)` of every
+/// case of `trail`, replayed over `threads` workers. With `shared`, every
+/// worker steps through that one trie (the auditor's arrangement).
+fn replay_fingerprint(
+    encoded: &Encoded,
+    trail: &AuditTrail,
+    opts: &CheckOptions,
+    shared: Option<&Arc<ReplayTrie>>,
+    threads: usize,
+) -> BTreeMap<Symbol, (String, usize, usize)> {
+    let h = hospital_context().roles().clone();
+    let cases: Vec<Symbol> = trail.cases().into_iter().collect();
+    let chunk = cases.len().div_ceil(threads.max(1));
+    std::thread::scope(|s| {
+        let workers: Vec<_> = cases
+            .chunks(chunk)
+            .map(|slice| {
+                let h = &h;
+                s.spawn(move || {
+                    slice
+                        .iter()
+                        .map(|&case| {
+                            let entries = trail.project_case(case);
+                            let check = check_case_with(
+                                encoded,
+                                h,
+                                &entries,
+                                opts,
+                                &obs::Recorder::noop(),
+                                shared,
+                            )
+                            .expect("replay succeeds");
+                            (
+                                case,
+                                (
+                                    format!("{:?}", check.verdict),
+                                    check.explored_successors,
+                                    check.peak_configurations,
+                                ),
+                            )
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("replay worker panicked"))
+            .collect()
+    })
+}
+
+/// The duplicate-heavy property — 90%+ shared prefixes, production engine
+/// vs the direct oracle byte-identical verdicts and counters at 1, 2 and 8
+/// threads, through the auditor and through a raw shared trie.
 #[test]
-fn dupheavy_trie_matches_automaton_at_all_thread_counts() {
+fn dupheavy_production_matches_the_oracle_at_all_thread_counts() {
     for seed in [7u64, 42] {
         let trail = dupheavy_trail(seed);
-        let automaton = hospital_auditor(Engine::Automaton);
-        let trie = hospital_auditor(Engine::Trie);
-        let baseline = report_fingerprint(&audit_parallel(&automaton, &trail, 1));
+        let oracle = hospital_auditor(Engine::Direct);
+        let production = hospital_auditor(Engine::Trie);
+        let baseline = report_fingerprint(&audit_parallel(&oracle, &trail, 1));
         assert!(
-            baseline.values().any(|(o, _, _)| o == "infringement"),
+            baseline
+                .values()
+                .any(|(o, _, _)| o.starts_with("Infringement")),
             "workload must include deviant cases"
         );
+
+        let encoded = encode(&healthcare_treatment());
+        let direct = CheckOptions {
+            engine: Engine::Direct,
+            ..CheckOptions::default()
+        };
+        let counters = replay_fingerprint(&encoded, &trail, &direct, None, 1);
+        let shared = Arc::new(ReplayTrie::new(encoded.automaton.clone()));
         for threads in [1usize, 2, 8] {
-            let got = report_fingerprint(&audit_parallel(&trie, &trail, threads));
+            let got = report_fingerprint(&audit_parallel(&production, &trail, threads));
             assert_eq!(
                 baseline, got,
-                "trie diverged from automaton at {threads} threads (seed {seed})"
+                "production diverged from the oracle at {threads} threads (seed {seed})"
+            );
+            let got = replay_fingerprint(
+                &encoded,
+                &trail,
+                &CheckOptions::default(),
+                Some(&shared),
+                threads,
+            );
+            assert_eq!(
+                counters, got,
+                "explored/peak counters diverged at {threads} threads (seed {seed})"
             );
         }
     }
 }
 
 /// The paper's own workloads (Fig. 4 scenario and the hospital day) replay
-/// identically under the trie.
+/// identically under the production engine and the oracle.
 #[test]
-fn paper_workloads_replay_identically_under_the_trie() {
+fn paper_workloads_replay_identically_to_the_oracle() {
     let day = generate_day(
         &HospitalConfig {
             target_entries: 400,
@@ -106,76 +179,96 @@ fn paper_workloads_replay_identically_under_the_trie() {
         1337,
     );
     for trail in [figure4_trail(), day.trail] {
-        let automaton = hospital_auditor(Engine::Automaton);
-        let trie = hospital_auditor(Engine::Trie);
+        let oracle = hospital_auditor(Engine::Direct);
+        let production = hospital_auditor(Engine::Trie);
         assert_eq!(
-            report_fingerprint(&automaton.audit(&trail)),
-            report_fingerprint(&trie.audit(&trail)),
+            report_fingerprint(&oracle.audit(&trail)),
+            report_fingerprint(&production.audit(&trail)),
         );
     }
 }
 
 /// Evidence traces are byte-identical modulo the provenance engine label.
 #[test]
-fn evidence_traces_are_identical_modulo_engine_label() {
+fn evidence_traces_match_the_oracle_modulo_engine_label() {
     let trail = dupheavy_trail(3);
-    let mut automaton = hospital_auditor(Engine::Automaton);
-    automaton.options.record_evidence = true;
-    let mut trie = hospital_auditor(Engine::Trie);
-    trie.options.record_evidence = true;
-    let a_report = automaton.audit(&trail);
-    let t_report = trie.audit(&trail);
-    assert_eq!(a_report.cases.len(), t_report.cases.len());
+    let mut oracle = hospital_auditor(Engine::Direct);
+    oracle.options.record_evidence = true;
+    let mut production = hospital_auditor(Engine::Trie);
+    production.options.record_evidence = true;
+    let o_report = oracle.audit(&trail);
+    let p_report = production.audit(&trail);
+    assert_eq!(o_report.cases.len(), p_report.cases.len());
     let mut compared = 0usize;
-    for (a, t) in a_report.cases.iter().zip(&t_report.cases) {
-        assert_eq!(a.case, t.case);
-        let (Some(mut ae), Some(mut te)) = (
-            automaton.case_evidence(&trail, a),
-            trie.case_evidence(&trail, t),
+    for (o, p) in o_report.cases.iter().zip(&p_report.cases) {
+        assert_eq!(o.case, p.case);
+        let (Some(mut oe), Some(mut pe)) = (
+            oracle.case_evidence(&trail, o),
+            production.case_evidence(&trail, p),
         ) else {
-            assert_eq!(a.evidence.is_some(), t.evidence.is_some());
+            assert_eq!(o.evidence.is_some(), p.evidence.is_some());
             continue;
         };
-        assert_eq!(ae.engine, "automaton");
-        assert_eq!(te.engine, "trie");
-        ae.engine.clear();
-        te.engine.clear();
-        assert_eq!(ae.to_json_line(), te.to_json_line(), "case {}", a.case);
+        assert_eq!(oe.engine, "direct");
+        assert_eq!(pe.engine, "trie");
+        oe.engine.clear();
+        pe.engine.clear();
+        assert_eq!(oe.to_json_line(), pe.to_json_line(), "case {}", o.case);
         compared += 1;
     }
     assert!(compared > 50, "only {compared} evidence traces compared");
 }
 
-/// The live monitor raises the same alarms through the trie, including
-/// under eviction/rehydration pressure (resident cap far below the case
-/// count, so sessions round-trip the spill path mid-case).
+/// The live monitor raises the same alarms as the oracle under
+/// eviction/rehydration pressure (resident cap far below the case count,
+/// so sessions round-trip the spill path mid-case). The production engine
+/// spills through the run-local `PCLE` envelope; a durable checkpoint and
+/// restore halfway through brings its sessions back through the `PCLC`
+/// path too. The oracle spills through `PCLC` throughout.
 #[test]
-fn live_monitor_matches_under_eviction_pressure() {
+fn live_monitor_matches_the_oracle_under_eviction_pressure() {
     let trail = dupheavy_trail(11);
     let config = LiveConfig {
         max_open_cases: 8,
         ..LiveConfig::default()
     };
-    let mut outcomes: Vec<BTreeMap<Symbol, String>> = Vec::new();
-    for engine in [Engine::Automaton, Engine::Trie] {
+    let run = |engine: Engine, restore_at: Option<usize>| {
         let mut monitor = LiveAuditor::with_config(hospital_auditor(engine), config.clone());
-        for entry in trail.entries() {
+        let mut rehydrations = 0u64;
+        for (i, entry) in trail.entries().iter().enumerate() {
+            if restore_at == Some(i) {
+                rehydrations += monitor.stats().rehydrations;
+                let bytes = monitor.checkpoint(i as u64).unwrap();
+                let (restored, offset) =
+                    LiveAuditor::restore(hospital_auditor(engine), config.clone(), &bytes).unwrap();
+                assert_eq!(offset, i as u64);
+                assert!(restored.open_cases() > 0, "restore admitted no sessions");
+                monitor = restored;
+            }
             monitor.observe(entry).unwrap();
         }
+        rehydrations += monitor.stats().rehydrations;
+        assert!(rehydrations > 0, "{engine:?}: no session was rehydrated");
         let mut by_case: BTreeMap<Symbol, String> = monitor
             .alarms()
             .into_iter()
-            .map(|(case, inf)| (case, format!("{:?}", inf.kind)))
+            .map(|(case, inf)| (case, format!("{inf:?}")))
             .collect();
         let (retired, errors) = monitor.retire_completed();
         assert!(errors.is_empty(), "{engine:?}: {errors:?}");
         for case in retired {
             by_case.entry(case).or_insert_with(|| "retired".to_string());
         }
-        outcomes.push(by_case);
-    }
-    assert_eq!(outcomes[0], outcomes[1]);
-    assert!(!outcomes[0].is_empty());
+        by_case
+    };
+    let oracle = run(Engine::Direct, None);
+    assert!(!oracle.is_empty());
+    assert_eq!(oracle, run(Engine::Trie, None), "PCLE spill path");
+    assert_eq!(
+        oracle,
+        run(Engine::Trie, Some(trail.len() / 2)),
+        "PCLE spill plus PCLC restore"
+    );
 }
 
 /// Trie counters land in the metrics export, under the committed schema.
@@ -228,23 +321,19 @@ fn tiny_transition_cap_flushes_without_changing_verdicts() {
         2,
     ));
     let trail = dupheavy_trail(9);
-    let trie_opts = CheckOptions {
-        engine: Engine::Trie,
-        ..CheckOptions::default()
-    };
-    let auto_opts = CheckOptions {
-        engine: Engine::Automaton,
+    let oracle_opts = CheckOptions {
+        engine: Engine::Direct,
         ..CheckOptions::default()
     };
     let mut checked = 0usize;
     for case in trail.cases() {
         let entries: Vec<&LogEntry> = trail.project_case(case);
-        let expected = check_case(&encoded, &h, &entries, &auto_opts).unwrap();
+        let expected = check_case(&encoded, &h, &entries, &oracle_opts).unwrap();
         let got = check_case_with(
             &encoded,
             &h,
             &entries,
-            &trie_opts,
+            &CheckOptions::default(),
             &obs::Recorder::noop(),
             Some(&tiny),
         )
