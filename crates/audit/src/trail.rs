@@ -7,7 +7,11 @@
 use crate::entry::LogEntry;
 use cows::symbol::Symbol;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// A trail grouped by case: each case's entries in trail order, keyed in
+/// the order of [`AuditTrail::cases`]. Built by [`AuditTrail::by_case`].
+pub type CaseGroups<'a> = BTreeMap<Symbol, Vec<&'a LogEntry>>;
 
 /// Def. 5 — a chronologically-ordered sequence of log entries.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -59,6 +63,19 @@ impl AuditTrail {
     /// Algorithm 1 analyzes.
     pub fn project_case(&self, case: Symbol) -> Vec<&LogEntry> {
         self.entries.iter().filter(|e| e.case == case).collect()
+    }
+
+    /// Every case's projection at once, in a single pass over the trail:
+    /// `by_case()[&c] == project_case(c)` for each `c` in `cases()`. Use it
+    /// wherever more than one case is projected — per-case
+    /// [`project_case`](Self::project_case) calls in a loop cost
+    /// O(entries × cases).
+    pub fn by_case(&self) -> CaseGroups<'_> {
+        let mut groups = CaseGroups::new();
+        for e in &self.entries {
+            groups.entry(e.case).or_default().push(e);
+        }
+        groups
     }
 
     /// All cases mentioned by the trail, sorted.
@@ -120,6 +137,7 @@ mod tests {
     use cows::sym;
     use policy::object::ObjectId;
     use policy::statement::Action;
+    use proptest::prelude::*;
 
     fn entry(task: &str, case: &str, minute: u64) -> LogEntry {
         LogEntry::success(
@@ -169,6 +187,42 @@ mod tests {
         let ht1 = t.project_case(sym("HT-1"));
         assert_eq!(ht1.len(), 2);
         assert_eq!(t.cases().len(), 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// One grouping pass equals projecting every case on its own, on
+        /// trails with interleaved cases and many equal timestamps
+        /// (including the empty trail); and building by `push` equals the
+        /// stable sort of `from_entries`.
+        #[test]
+        fn by_case_equals_per_case_projection(
+            seeds in prop::collection::vec((0u64..6, 0u64..8), 0..40)
+        ) {
+            let entries: Vec<LogEntry> = seeds
+                .iter()
+                .enumerate()
+                .map(|(i, &(case, minute))| {
+                    entry(&format!("T{i}"), &format!("P-{case}"), minute)
+                })
+                .collect();
+            let mut pushed = AuditTrail::new();
+            for e in entries.iter().cloned() {
+                pushed.push(e);
+            }
+            let t = AuditTrail::from_entries(entries);
+            prop_assert_eq!(&pushed, &t);
+            let groups = t.by_case();
+            prop_assert!(groups.keys().copied().eq(t.cases()));
+            for (&case, group) in &groups {
+                prop_assert_eq!(group, &t.project_case(case));
+            }
+            prop_assert_eq!(
+                groups.values().map(Vec::len).sum::<usize>(),
+                t.len()
+            );
+        }
     }
 
     #[test]

@@ -471,8 +471,7 @@ fn p9_check_all(enc: &bpmn::encode::Encoded, trail: &audit::AuditTrail) -> usize
     let h = hospital_roles();
     let opts = CheckOptions::default();
     let mut compliant = 0usize;
-    for case in trail.cases() {
-        let entries = trail.project_case(case);
+    for entries in trail.by_case().into_values() {
         let check = check_case(enc, &h, &entries, &opts).expect("replay machinery succeeds");
         if check.verdict.is_compliant() {
             compliant += 1;
@@ -878,8 +877,9 @@ fn p11_observability(quick: bool) -> String {
     let report = audit_parallel(&tracing_auditor, &day.trail, threads);
     let serialize_start = Instant::now();
     let mut jsonl = String::new();
+    let groups = day.trail.by_case();
     for case in &report.cases {
-        if let Some(ev) = tracing_auditor.case_evidence(&day.trail, case) {
+        if let Some(ev) = tracing_auditor.case_evidence(case, &groups[&case.case]) {
             jsonl.push_str(&ev.to_json_line());
             jsonl.push('\n');
         }
@@ -1886,12 +1886,10 @@ fn p17_trie(quick: bool, gate: bool) -> String {
     let encoded = encode(&healthcare_treatment());
     let day = generate_dupheavy_with(&cfg, 4242, &encoded);
     let h = hospital_roles();
-    let cases: Vec<cows::symbol::Symbol> = day.trail.cases().into_iter().collect();
-    // Project each case once: the per-case replay core is what the two
-    // arms differ on, and what we time. (Projection itself is
-    // arm-independent and would only dilute the comparison.)
-    let projected: Vec<Vec<&audit::LogEntry>> =
-        cases.iter().map(|&c| day.trail.project_case(c)).collect();
+    // Group the trail once: the per-case replay core is what the two arms
+    // differ on, and what we time. (Grouping itself is arm-independent and
+    // would only dilute the comparison; P18 times it end to end.)
+    let projected: Vec<Vec<&audit::LogEntry>> = day.trail.by_case().into_values().collect();
     let entries_total: usize = projected.iter().map(|c| c.len()).sum();
 
     // The baseline is the production engine with cross-case sharing
@@ -2059,6 +2057,148 @@ fn p17_trie(quick: bool, gate: bool) -> String {
     )
 }
 
+/// The P18 gate's ceiling on t(4 000 cases) / t(1 000 cases) for a
+/// 1-thread end-to-end batch audit: linear in cases plus a margin. Per-case
+/// projection (one trail scan per case) measured ~21x here.
+const P18_CEILING: f64 = 4.5;
+
+/// The checkout's abbreviated commit, suffixed `-dirty` when the working
+/// tree has uncommitted changes; `unknown` outside a checkout.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=7"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+fn p18_grouping(quick: bool, gate: bool) -> String {
+    use audit::codec::{format_trail, parse_trail};
+    use workload::dupheavy::{generate_dupheavy_with, DupHeavyConfig};
+
+    println!("## P18 — end-to-end batch audit is linear in cases (duplicate-heavy day)");
+    let reps = if quick { 3 } else { 5 };
+    let nproc = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let encoded = encode(&healthcare_treatment());
+    let auditor = |engine: Engine| {
+        let mut a = hospital_auditor();
+        a.registry
+            .add_case_prefix("DH-", policy::samples::treatment());
+        a.options.engine = engine;
+        a
+    };
+    let min_of = |f: &dyn Fn()| {
+        (0..reps)
+            .map(|_| {
+                let t = Instant::now();
+                f();
+                t.elapsed().as_secs_f64()
+            })
+            .fold(f64::MAX, f64::min)
+    };
+    // The P17 day's shape at two sizes. Every rep audits with a fresh
+    // auditor (cold replay trie) and times `audit_parallel` whole on one
+    // thread: grouping, replay, severity and the preventive pass.
+    let (mut times, mut sizes) = (Vec::new(), Vec::new());
+    for cases in [1_000usize, 4_000] {
+        let cfg = DupHeavyConfig {
+            cases,
+            archetypes: 4,
+            duplicate_fraction: 0.92,
+            deviant_fraction: 0.02,
+            error_prob: 0.1,
+        };
+        let day = generate_dupheavy_with(&cfg, 4242, &encoded);
+        let entries = day.trail.len();
+        let mut audit_s = f64::MAX;
+        let mut report = purpose_control::AuditReport::default();
+        for _ in 0..reps {
+            let a = auditor(Engine::Trie);
+            let t = Instant::now();
+            report = audit_parallel(&a, &day.trail, 1);
+            audit_s = audit_s.min(t.elapsed().as_secs_f64());
+        }
+        // Stages the audit does not split out on its own: the parse it
+        // follows, the grouping and the preventive pass.
+        let text = format_trail(&day.trail);
+        let parse_s = min_of(&|| {
+            std::hint::black_box(parse_trail(&text).expect("formatted trail parses"));
+        });
+        let group_s = min_of(&|| {
+            std::hint::black_box(day.trail.by_case());
+        });
+        let warm = auditor(Engine::Trie);
+        let preventive_s = min_of(&|| {
+            std::hint::black_box(warm.preventive_check(&day.trail));
+        });
+        // Verdicts must equal the direct Algorithm 1 oracle's, always.
+        let fp = |r: &purpose_control::AuditReport| -> Vec<String> {
+            r.cases
+                .iter()
+                .map(|c| format!("{} {} {:?}", c.case, c.entries, c.outcome))
+                .collect()
+        };
+        let oracle = audit_parallel(&auditor(Engine::Direct), &day.trail, nproc);
+        assert_eq!(
+            fp(&oracle),
+            fp(&report),
+            "P18: verdicts at {cases} cases diverged from the direct oracle"
+        );
+        println!(
+            "  {cases:>5} cases ({entries:>6} entries): audit {:>9} ({:>8.0} entries/s) | \
+             group {:>9} | preventive {:>9} | parse {:>9}",
+            fmt_dur(Duration::from_secs_f64(audit_s)),
+            entries as f64 / audit_s,
+            fmt_dur(Duration::from_secs_f64(group_s)),
+            fmt_dur(Duration::from_secs_f64(preventive_s)),
+            fmt_dur(Duration::from_secs_f64(parse_s)),
+        );
+        times.push(audit_s);
+        sizes.push(format!(
+            "{{ \"cases\": {cases}, \"entries\": {entries}, \"infringing_cases\": {}, \
+             \"audit_seconds\": {audit_s:.6}, \"entries_per_s\": {:.1}, \
+             \"group_seconds\": {group_s:.6}, \"preventive_seconds\": {preventive_s:.6}, \
+             \"parse_seconds\": {parse_s:.6} }}",
+            report.infringing_cases(),
+            entries as f64 / audit_s,
+        ));
+    }
+    let ratio = times[1] / times[0];
+    let rev = git_rev();
+    println!(
+        "  4x the cases costs {ratio:.2}x (1 thread, min of {reps}, nproc {nproc}, rev {rev})"
+    );
+    if gate {
+        assert!(
+            ratio <= P18_CEILING,
+            "P18 gate: t(4000)/t(1000) = {ratio:.2}x above the {P18_CEILING}x ceiling"
+        );
+        println!("  gate: OK (<= {P18_CEILING}x, verdicts identical)");
+    }
+    println!();
+
+    format!(
+        "{{\n  \
+           \"benchmark\": \"batch_audit_case_scaling\",\n  \
+           \"workload\": \"dupheavy_treatment_day\",\n  \
+           \"git_rev\": \"{rev}\",\n  \
+           \"nproc\": {nproc},\n  \
+           \"threads\": 1,\n  \
+           \"reps\": {reps},\n  \
+           \"estimator\": \"min\",\n  \
+           \"sizes\": [\n    {}\n  ],\n  \
+           \"ratio_4x_cases\": {ratio:.3},\n  \
+           \"ceiling\": {P18_CEILING},\n  \
+           \"verdicts_identical\": true\n}}",
+        sizes.join(",\n    "),
+    )
+}
+
 /// Replace or append one top-level `"key": {...}` section of an existing
 /// report file without rerunning the other experiments. The section's
 /// object is located by brace matching (no string values in the report
@@ -2187,6 +2327,15 @@ fn main() {
         println!("wrote {}", path.display());
         return;
     }
+    if argv.iter().any(|a| a == "--only-p18") {
+        let p18 = p18_grouping(quick, gate);
+        let existing = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("read {}: {e} (run the full report first)", path.display()));
+        std::fs::write(&path, splice_section(&existing, "p18_grouping", &p18))
+            .expect("write report");
+        println!("wrote {}", path.display());
+        return;
+    }
     println!("# purpose-control experiment report\n");
     fig4_summary();
     p1_naive_vs_replay(quick);
@@ -2206,11 +2355,13 @@ fn main() {
     let p15 = p15_durability(quick);
     let p16 = p16_tracing(quick);
     let p17 = p17_trie(quick, gate);
+    let p18 = p18_grouping(quick, gate);
     let json = format!(
         "{{\n\"p8_engine_ablation\": {},\n\"p9_snapshot_warm_start\": {},\n\
          \"p10_degraded_mode\": {},\n\"p11_observability\": {},\n\
          \"p12_streaming\": {},\n\"p13_churn\": {},\n\"p14_serve\": {},\n\
-         \"p15_durability\": {},\n\"p16_tracing\": {},\n\"p17_trie\": {}\n}}\n",
+         \"p15_durability\": {},\n\"p16_tracing\": {},\n\"p17_trie\": {},\n\
+         \"p18_grouping\": {}\n}}\n",
         p8.trim_end(),
         p9,
         p10,
@@ -2220,7 +2371,8 @@ fn main() {
         p14,
         p15,
         p16,
-        p17
+        p17,
+        p18
     );
     match std::fs::write(&path, &json) {
         Ok(()) => println!("wrote {}", path.display()),

@@ -205,12 +205,12 @@ pub fn spill_codec_fixtures() -> (
     let auditor = hospital_auditor();
     let encoded = encode(&healthcare_treatment());
     let hierarchy = auditor.context.roles();
-    let victim = day
+    let (victim, victim_entries) = day
         .trail
-        .cases()
+        .by_case()
         .into_iter()
-        .filter(|c| c.to_string().starts_with("HT-"))
-        .max_by_key(|&c| day.trail.project_case(c).len())
+        .filter(|(c, _)| c.to_string().starts_with("HT-"))
+        .max_by_key(|(_, entries)| entries.len())
         .expect("the day has treatment cases");
     let mut core = SessionCore::open(
         &encoded,
@@ -223,7 +223,7 @@ pub fn spill_codec_fixtures() -> (
     .expect("session open");
     let mut kept: Vec<LogEntry> = Vec::new();
     let mut last_seen = audit::Timestamp(0);
-    for e in day.trail.project_case(victim) {
+    for e in victim_entries {
         if core
             .feed(&encoded, hierarchy, e)
             .is_ok_and(|o| !matches!(o, FeedOutcome::Rejected(_)))

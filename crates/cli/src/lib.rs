@@ -33,7 +33,9 @@ use obs::{ObsEvent, Recorder};
 use policy::parse::parse_policy;
 use policy::samples::hospital_roles;
 use policy::{Policy, PolicyContext};
-use purpose_control::auditor::{Auditor, CaseOutcome, ProcessRegistry, RegisteredProcess};
+use purpose_control::auditor::{
+    Auditor, CaseOutcome, CaseResult, ProcessRegistry, RegisteredProcess,
+};
 use purpose_control::lenient::{check_case_lenient, LenientOptions};
 use purpose_control::parallel::audit_parallel;
 use purpose_control::replay::{check_case, CheckOptions};
@@ -469,15 +471,18 @@ fn cmd_simulate(args: &Args, out: &mut dyn Write) -> Result<i32, CliError> {
     let seed: u64 = args.flag_num("seed", 42)?;
     let prefix = args.flag("prefix").unwrap_or("C-");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut trail = AuditTrail::new();
+    let mut entries = Vec::new();
     for i in 1..=cases {
         let mut cfg = SimConfig::new(format!("subject{i:04}").as_str());
         cfg.start = audit::Timestamp(6_000_000 + i as u64 * 600);
-        let entries = simulate_case(&encoded, format!("{prefix}{i}").as_str(), &cfg, &mut rng);
-        for e in entries {
-            trail.push(e);
-        }
+        entries.extend(simulate_case(
+            &encoded,
+            format!("{prefix}{i}").as_str(),
+            &cfg,
+            &mut rng,
+        ));
     }
+    let trail = AuditTrail::from_entries(entries);
     write!(out, "{}", format_trail(&trail)).ok();
     Ok(0)
 }
@@ -739,13 +744,20 @@ fn cmd_audit(args: &Args, out: &mut dyn Write) -> Result<i32, CliError> {
         .ok();
     }
 
+    // Evidence resolves against each case's entries: the trail is grouped
+    // once, on first use, for `--explain` and `--trace-out` alike.
+    let groups = std::cell::OnceCell::new();
+    let evidence = |result: &CaseResult| {
+        let entries = groups.get_or_init(|| trail.by_case()).get(&result.case);
+        auditor.case_evidence(result, entries.map(Vec::as_slice).unwrap_or_default())
+    };
     if let Some(name) = explain {
         let result = report
             .cases
             .iter()
             .find(|c| c.case.to_string() == name)
             .ok_or_else(|| fail(format!("--explain: case `{name}` not found in this audit")))?;
-        match auditor.case_evidence(&trail, result) {
+        match evidence(result) {
             Some(ev) => write!(out, "{}", ev.render_explain()).ok(),
             None => writeln!(
                 out,
@@ -758,7 +770,7 @@ fn cmd_audit(args: &Args, out: &mut dyn Write) -> Result<i32, CliError> {
     if let Some(path) = trace_out {
         let mut jsonl = String::new();
         for case in &report.cases {
-            if let Some(ev) = auditor.case_evidence(&trail, case) {
+            if let Some(ev) = evidence(case) {
                 jsonl.push_str(&ev.to_json_line());
                 jsonl.push('\n');
             }

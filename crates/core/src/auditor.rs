@@ -330,11 +330,21 @@ impl Auditor {
     /// object. (Objectless entries such as task cancellations have nothing
     /// to authorize.)
     pub fn preventive_check(&self, trail: &AuditTrail) -> Vec<PreventiveViolation> {
+        self.preventive_check_cases(trail, trail.cases())
+    }
+
+    /// [`preventive_check`](Self::preventive_check) given the trail's case
+    /// set, for callers that already grouped the trail.
+    pub(crate) fn preventive_check_cases(
+        &self,
+        trail: &AuditTrail,
+        cases: impl IntoIterator<Item = Symbol>,
+    ) -> Vec<PreventiveViolation> {
         // Make every case's purpose known to the evaluation context
         // (explicit registrations win; prefix rules fill the rest), so that
         // condition (iv) of Def. 3 can be checked.
         let mut ctx = self.context.clone();
-        for case in trail.cases() {
+        for case in cases {
             if ctx.purpose_of_case(case).is_none() {
                 if let Some(p) = self.registry.purpose_by_prefix(case) {
                     ctx.register_case(case, p);
@@ -372,9 +382,18 @@ impl Auditor {
         out
     }
 
-    /// Run Algorithm 1 on one case of the trail.
+    /// Run Algorithm 1 on one case of the trail. This projects the trail
+    /// for the one case; to check many, group once with
+    /// [`AuditTrail::by_case`] and call
+    /// [`check_case_entries`](Self::check_case_entries) per slice.
     pub fn check_one_case(&self, trail: &AuditTrail, case: Symbol) -> CaseResult {
-        let result = self.check_one_case_inner(trail, case);
+        self.check_case_entries(case, &trail.project_case(case))
+    }
+
+    /// Run Algorithm 1 on one case, given its projection of the trail
+    /// (its entries in trail order).
+    pub fn check_case_entries(&self, case: Symbol, entries: &[&LogEntry]) -> CaseResult {
+        let result = self.check_case_inner(case, entries);
         self.recorder.emit(|| obs::ObsEvent::CaseEnd {
             case: case.to_string(),
             verdict: outcome_label(&result.outcome).to_string(),
@@ -382,8 +401,7 @@ impl Auditor {
         result
     }
 
-    fn check_one_case_inner(&self, trail: &AuditTrail, case: Symbol) -> CaseResult {
-        let entries = trail.project_case(case);
+    fn check_case_inner(&self, case: Symbol, entries: &[&LogEntry]) -> CaseResult {
         let n = entries.len();
         self.recorder.emit(|| obs::ObsEvent::CaseStart {
             case: case.to_string(),
@@ -423,7 +441,7 @@ impl Auditor {
             check_case_with(
                 &process.encoded,
                 hierarchy,
-                &entries,
+                entries,
                 &self.options,
                 &self.recorder,
                 Some(&process.trie),
@@ -476,7 +494,7 @@ impl Auditor {
                 evidence,
                 ..
             }) => {
-                let severity = assess(&infringement, &entries, &self.sensitivity);
+                let severity = assess(&infringement, entries, &self.sensitivity);
                 CaseResult {
                     case,
                     purpose: Some(purpose),
@@ -528,32 +546,17 @@ impl Auditor {
         }
     }
 
-    /// Audit every case of the trail (sequentially; see
-    /// [`crate::parallel::audit_parallel`] for the multi-threaded variant).
+    /// Audit every case of the trail: [`crate::parallel::audit_parallel`]
+    /// on the calling thread.
     pub fn audit(&self, trail: &AuditTrail) -> AuditReport {
-        let cases = trail.cases();
-        self.audit_cases(trail, &cases)
+        crate::parallel::audit_parallel(self, trail, 1)
     }
 
-    /// Audit a selected set of cases.
+    /// Audit a selected set of cases: [`crate::parallel::audit_cases_parallel`]
+    /// on the calling thread. A case absent from the trail is checked with
+    /// no entries.
     pub fn audit_cases(&self, trail: &AuditTrail, cases: &BTreeSet<Symbol>) -> AuditReport {
-        let results: Vec<CaseResult> = cases
-            .iter()
-            .map(|&c| self.check_one_case(trail, c))
-            .collect();
-        let preventive = self.preventive_check(trail);
-        if let Some(registry) = &self.metrics {
-            let mut shard = registry.shard();
-            for r in &results {
-                crate::metrics::record_case_metrics(&mut shard, r);
-            }
-            shard.add_counter("audit_preventive_violations", preventive.len() as u64);
-            shard.flush(registry);
-        }
-        AuditReport {
-            cases: results,
-            preventive_violations: preventive,
-        }
+        crate::parallel::audit_cases_parallel(self, trail, cases, 1)
     }
 
     /// Render one audited case's evidence trace as a serializable
@@ -561,17 +564,18 @@ impl Auditor {
     ///
     /// Replay captures evidence compactly (interned state ids), keeping the
     /// hot loop near-free; this resolves it against the purpose's process
-    /// and the case's entries. `None` when the case carries no evidence
-    /// (recording off, or the case never reached replay).
+    /// and the case's entries — `result.case`'s projection of the trail,
+    /// e.g. its slice of [`AuditTrail::by_case`]. `None` when the case
+    /// carries no evidence (recording off, or the case never reached
+    /// replay).
     pub fn case_evidence(
         &self,
-        trail: &AuditTrail,
         result: &CaseResult,
+        entries: &[&LogEntry],
     ) -> Option<obs::CaseEvidence> {
         let raw = result.evidence.as_ref()?;
         let process = self.registry.process_for(result.purpose?)?;
-        let entries = trail.project_case(result.case);
-        Some(raw.materialize(&process.encoded, &entries))
+        Some(raw.materialize(&process.encoded, entries))
     }
 
     /// §4: audit only the cases in which `object` was accessed — "it is not

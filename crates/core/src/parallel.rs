@@ -6,20 +6,76 @@
 //! with no synchronization beyond result collection.
 
 use crate::auditor::{AuditReport, Auditor, CaseResult};
-use audit::trail::AuditTrail;
+use audit::entry::LogEntry;
+use audit::trail::{AuditTrail, CaseGroups};
 use cows::symbol::Symbol;
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// One unit of work: a case and its projection of the trail.
+type CaseSlice<'g, 't> = (Symbol, &'g [&'t LogEntry]);
 
 /// Audit every case of `trail` using `threads` worker threads.
 ///
 /// Produces the same `cases` vector as [`Auditor::audit`] (sorted by case),
 /// plus the preventive pass (run once, on the calling thread).
 pub fn audit_parallel(auditor: &Auditor, trail: &AuditTrail, threads: usize) -> AuditReport {
-    let cases: Vec<Symbol> = trail.cases().into_iter().collect();
-    let results = check_cases_parallel(auditor, trail, &cases, threads);
-    let preventive = auditor.preventive_check(trail);
+    let groups = trail.by_case();
+    report(auditor, trail, &groups, groups.keys().copied(), threads)
+}
+
+/// Audit a specific set of cases in parallel. A case absent from the trail
+/// is checked with no entries.
+pub fn audit_cases_parallel(
+    auditor: &Auditor,
+    trail: &AuditTrail,
+    cases: &BTreeSet<Symbol>,
+    threads: usize,
+) -> AuditReport {
+    report(
+        auditor,
+        trail,
+        &trail.by_case(),
+        cases.iter().copied(),
+        threads,
+    )
+}
+
+/// The parallel core over a case list: group the trail once, then replay
+/// `cases` (in order) across `threads` workers.
+pub fn check_cases_parallel(
+    auditor: &Auditor,
+    trail: &AuditTrail,
+    cases: &[Symbol],
+    threads: usize,
+) -> Vec<CaseResult> {
+    let groups = trail.by_case();
+    check_slices(auditor, &slices(&groups, cases.iter().copied()), threads)
+}
+
+/// Each case's slice of `groups`; empty for a case the trail never
+/// mentions.
+fn slices<'g, 't>(
+    groups: &'g CaseGroups<'t>,
+    cases: impl Iterator<Item = Symbol>,
+) -> Vec<CaseSlice<'g, 't>> {
+    cases
+        .map(|c| (c, groups.get(&c).map(Vec::as_slice).unwrap_or_default()))
+        .collect()
+}
+
+/// Replay `cases` from `trail`'s grouping, then run the preventive pass
+/// over the whole trail (its case set is the grouping's keys).
+fn report(
+    auditor: &Auditor,
+    trail: &AuditTrail,
+    groups: &CaseGroups,
+    cases: impl Iterator<Item = Symbol>,
+    threads: usize,
+) -> AuditReport {
+    let results = check_slices(auditor, &slices(groups, cases), threads);
+    let preventive = auditor.preventive_check_cases(trail, groups.keys().copied());
     if let Some(registry) = &auditor.metrics {
         registry.add_counter("audit_preventive_violations", preventive.len() as u64);
     }
@@ -29,19 +85,14 @@ pub fn audit_parallel(auditor: &Auditor, trail: &AuditTrail, threads: usize) -> 
     }
 }
 
-/// The parallel core: replay `cases` across `threads` workers, work-stealing
-/// from a shared counter.
-pub fn check_cases_parallel(
-    auditor: &Auditor,
-    trail: &AuditTrail,
-    cases: &[Symbol],
-    threads: usize,
-) -> Vec<CaseResult> {
-    let threads = threads.max(1).min(cases.len().max(1));
+/// Replay each case's slice across `threads` workers, work-stealing from a
+/// shared counter; results come back in `work` order.
+fn check_slices(auditor: &Auditor, work: &[CaseSlice], threads: usize) -> Vec<CaseResult> {
+    let threads = threads.max(1).min(work.len().max(1));
     if threads == 1 {
-        let results: Vec<CaseResult> = cases
+        let results: Vec<CaseResult> = work
             .iter()
-            .map(|&c| auditor.check_one_case(trail, c))
+            .map(|&(case, entries)| auditor.check_case_entries(case, entries))
             .collect();
         if let Some(registry) = &auditor.metrics {
             let mut shard = registry.shard();
@@ -53,7 +104,7 @@ pub fn check_cases_parallel(
         return results;
     }
     let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, CaseResult)>> = Mutex::new(Vec::with_capacity(cases.len()));
+    let results: Mutex<Vec<(usize, CaseResult)>> = Mutex::new(Vec::with_capacity(work.len()));
     crossbeam::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|_| {
@@ -64,10 +115,10 @@ pub fn check_cases_parallel(
                 let mut local: Vec<(usize, CaseResult)> = Vec::new();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= cases.len() {
+                    let Some(&(case, entries)) = work.get(i) else {
                         break;
-                    }
-                    let result = auditor.check_one_case(trail, cases[i]);
+                    };
+                    let result = auditor.check_case_entries(case, entries);
                     if let Some(shard) = shard.as_mut() {
                         crate::metrics::record_case_metrics(shard, &result);
                     }
@@ -84,25 +135,6 @@ pub fn check_cases_parallel(
     let mut out = results.into_inner();
     out.sort_by_key(|(i, _)| *i);
     out.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Audit a specific set of cases in parallel.
-pub fn audit_cases_parallel(
-    auditor: &Auditor,
-    trail: &AuditTrail,
-    cases: &BTreeSet<Symbol>,
-    threads: usize,
-) -> AuditReport {
-    let cases: Vec<Symbol> = cases.iter().copied().collect();
-    let results = check_cases_parallel(auditor, trail, &cases, threads);
-    let preventive = auditor.preventive_check(trail);
-    if let Some(registry) = &auditor.metrics {
-        registry.add_counter("audit_preventive_violations", preventive.len() as u64);
-    }
-    AuditReport {
-        cases: results,
-        preventive_violations: preventive,
-    }
 }
 
 #[cfg(test)]

@@ -78,6 +78,25 @@ pub fn generate_dupheavy(cfg: &DupHeavyConfig, seed: u64) -> DupHeavyDay {
 
 /// As [`generate_dupheavy`], reusing a pre-encoded process.
 pub fn generate_dupheavy_with(cfg: &DupHeavyConfig, seed: u64, encoded: &Encoded) -> DupHeavyDay {
+    let mut entries = Vec::new();
+    let (deviant, stamped) = dupheavy_cases(cfg, seed, encoded, &mut |e| entries.push(e));
+    DupHeavyDay {
+        // One stable sort: the same trail as pushing every entry in turn,
+        // without the quadratic out-of-order inserts.
+        trail: AuditTrail::from_entries(entries),
+        deviant,
+        stamped,
+    }
+}
+
+/// Generate the day case by case, handing every entry to `emit` in
+/// generation order; returns the injected cases and the stamped count.
+fn dupheavy_cases(
+    cfg: &DupHeavyConfig,
+    seed: u64,
+    encoded: &Encoded,
+    emit: &mut dyn FnMut(LogEntry),
+) -> (HashMap<Symbol, Injection>, usize) {
     let mut rng = StdRng::seed_from_u64(seed);
     let day_start: Timestamp = "201007060000".parse().expect("valid literal");
 
@@ -95,7 +114,6 @@ pub fn generate_dupheavy_with(cfg: &DupHeavyConfig, seed: u64, encoded: &Encoded
         })
         .collect();
 
-    let mut trail = AuditTrail::new();
     let mut deviant: HashMap<Symbol, Injection> = HashMap::new();
     let mut stamped = 0usize;
     for i in 1..=cfg.cases {
@@ -121,15 +139,9 @@ pub fn generate_dupheavy_with(cfg: &DupHeavyConfig, seed: u64, encoded: &Encoded
                 deviant.insert(case, inj);
             }
         }
-        for e in entries {
-            trail.push(e);
-        }
+        entries.into_iter().for_each(&mut *emit);
     }
-    DupHeavyDay {
-        trail,
-        deviant,
-        stamped,
-    }
+    (deviant, stamped)
 }
 
 /// Copy an archetype's walk for a new case, varying only the incidentals:
@@ -196,13 +208,11 @@ mod tests {
         // The stamped cases must collapse to at most `archetypes` distinct
         // (role, task, status) sequences — that sharing is the point.
         let mut sequences: HashMap<Vec<(Symbol, Symbol, bool)>, usize> = HashMap::new();
-        for case in day.trail.cases() {
+        for (case, entries) in day.trail.by_case() {
             if day.deviant.contains_key(&case) {
                 continue;
             }
-            let seq: Vec<(Symbol, Symbol, bool)> = day
-                .trail
-                .project_case(case)
+            let seq: Vec<(Symbol, Symbol, bool)> = entries
                 .iter()
                 .map(|e| {
                     (
@@ -221,6 +231,24 @@ mod tests {
             shared,
             day.stamped
         );
+    }
+
+    #[test]
+    fn sorted_once_equals_pushed_entry_by_entry() {
+        let encoded = encode(&healthcare_treatment());
+        for (cases, seed) in [(1, 3), (40, 7), (120, 4242)] {
+            let cfg = DupHeavyConfig {
+                cases,
+                ..DupHeavyConfig::default()
+            };
+            let mut pushed = AuditTrail::new();
+            dupheavy_cases(&cfg, seed, &encoded, &mut |e| pushed.push(e));
+            assert_eq!(
+                generate_dupheavy_with(&cfg, seed, &encoded).trail,
+                pushed,
+                "{cases} cases, seed {seed}"
+            );
+        }
     }
 
     #[test]

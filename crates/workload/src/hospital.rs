@@ -9,6 +9,7 @@
 
 use crate::attacks::{self, Injection};
 use crate::simulate::{simulate_case, ObjectTemplate, SimConfig, TaskProfiles};
+use audit::entry::LogEntry;
 use audit::time::Timestamp;
 use audit::trail::AuditTrail;
 use bpmn::encode::{encode, Encoded};
@@ -201,8 +202,28 @@ pub fn generate_day_with(
     ht_encoded: &Encoded,
     ct_encoded: &Encoded,
 ) -> HospitalDay {
+    let mut entries = Vec::new();
+    let (truth, consents) = day_cases(cfg, seed, ht_encoded, ct_encoded, &mut |e| entries.push(e));
+    HospitalDay {
+        // One stable sort: the same trail as pushing every entry in turn,
+        // without the quadratic out-of-order inserts.
+        trail: AuditTrail::from_entries(entries),
+        truth,
+        consents,
+    }
+}
+
+/// Generate a day case by case, handing every entry to `emit` in
+/// generation order; returns each case's ground truth and the recorded
+/// consents.
+fn day_cases(
+    cfg: &HospitalConfig,
+    seed: u64,
+    ht_encoded: &Encoded,
+    ct_encoded: &Encoded,
+    emit: &mut dyn FnMut(LogEntry),
+) -> (HashMap<Symbol, CaseTruth>, Vec<(Symbol, Symbol)>) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut trail = AuditTrail::new();
     let mut truth: HashMap<Symbol, CaseTruth> = HashMap::new();
     let mut consents: Vec<(Symbol, Symbol)> = Vec::new();
     let day_start: Timestamp = "201007060000".parse().expect("valid literal");
@@ -269,9 +290,7 @@ pub fn generate_day_with(
         };
 
         entries_so_far += entries.len();
-        for e in entries {
-            trail.push(e);
-        }
+        entries.into_iter().for_each(&mut *emit);
         truth.insert(
             case,
             CaseTruth {
@@ -281,11 +300,7 @@ pub fn generate_day_with(
             },
         );
     }
-    HospitalDay {
-        trail,
-        truth,
-        consents,
-    }
+    (truth, consents)
 }
 
 /// A random staffing for one case: the four Fig. 1 roles plus the trial
@@ -314,6 +329,26 @@ mod tests {
             },
             7,
         )
+    }
+
+    #[test]
+    fn sorted_once_equals_pushed_entry_by_entry() {
+        let (ht, ct) = (encode(&healthcare_treatment()), encode(&clinical_trial()));
+        for (target_entries, seed) in [(1, 3), (400, 7), (2_000, 42)] {
+            let cfg = HospitalConfig {
+                target_entries,
+                attack_fraction: 0.2,
+                trial_fraction: 0.3,
+                ..HospitalConfig::default()
+            };
+            let mut pushed = AuditTrail::new();
+            day_cases(&cfg, seed, &ht, &ct, &mut |e| pushed.push(e));
+            assert_eq!(
+                generate_day_with(&cfg, seed, &ht, &ct).trail,
+                pushed,
+                "{target_entries} entries, seed {seed}"
+            );
+        }
     }
 
     #[test]

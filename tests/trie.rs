@@ -200,11 +200,13 @@ fn evidence_traces_match_the_oracle_modulo_engine_label() {
     let p_report = production.audit(&trail);
     assert_eq!(o_report.cases.len(), p_report.cases.len());
     let mut compared = 0usize;
+    let groups = trail.by_case();
     for (o, p) in o_report.cases.iter().zip(&p_report.cases) {
         assert_eq!(o.case, p.case);
+        let entries = &groups[&o.case];
         let (Some(mut oe), Some(mut pe)) = (
-            oracle.case_evidence(&trail, o),
-            production.case_evidence(&trail, p),
+            oracle.case_evidence(o, entries),
+            production.case_evidence(p, entries),
         ) else {
             assert_eq!(o.evidence.is_some(), p.evidence.is_some());
             continue;
