@@ -14,27 +14,16 @@
 
 use crate::entry::LogEntry;
 use crate::trail::AuditTrail;
+use codec::StableHasher;
 use serde::{Deserialize, Serialize};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
-    let mut h = state;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 fn entry_digest(prev: u64, entry: &LogEntry) -> u64 {
     // The rendered form is canonical for an entry (Display is injective on
     // the Def. 4 fields), so digesting it binds every field.
-    let rendered = entry.to_string();
-    let mut h = fnv1a(FNV_OFFSET, &prev.to_le_bytes());
-    h = fnv1a(h, rendered.as_bytes());
-    h
+    let mut h = StableHasher::new();
+    h.write(&prev.to_le_bytes());
+    h.write(entry.to_string().as_bytes());
+    h.finish()
 }
 
 /// A trail with a digest chain committed over its entries.

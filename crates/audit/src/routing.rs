@@ -14,7 +14,7 @@
 //! silently routed a resumed case to the wrong shard. Now there is exactly
 //! one derivation to pin with tests.
 
-use cows::StableHasher;
+use codec::StableHasher;
 
 /// The stable routing key of a case name. Identical for the same string
 /// in every run, process, and crate that links this function.

@@ -110,38 +110,15 @@ impl Encoded {
         self.load_snapshot_bytes(&bytes)
     }
 
-    /// Write the automaton's current compilation to `path` crash-atomically:
-    /// temp file, fsync, rename, parent-directory fsync. Readers never
-    /// observe a half-written snapshot, and a power cut right after return
-    /// cannot lose the rename — a torn write at worst costs a cold start,
-    /// never a wrong verdict.
+    /// Write the automaton's current compilation to `path` crash-atomically
+    /// and synced ([`codec::atomic_write`]). Readers never observe a
+    /// half-written snapshot, and a power cut right after return cannot
+    /// lose the rename — a torn write at worst costs a cold start, never a
+    /// wrong verdict.
     pub fn save_snapshot(&self, path: &Path) -> Result<(), SnapshotError> {
-        use std::io::Write as _;
-        let io_err = |e: std::io::Error| SnapshotError::Io(e.to_string());
-        let bytes = self.snapshot_bytes();
-        let tmp = path.with_extension(format!("{SNAPSHOT_EXT}.tmp"));
-        let write_synced = (|| {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(&bytes)?;
-            file.sync_all()
-        })();
-        write_synced.map_err(|e| {
-            let _ = std::fs::remove_file(&tmp);
-            io_err(e)
-        })?;
-        std::fs::rename(&tmp, path).map_err(|e| {
-            let _ = std::fs::remove_file(&tmp);
-            io_err(e)
-        })?;
-        // Persist the directory entry too; without this the rename itself
-        // can vanish in a crash. Directories may refuse fsync on some
-        // filesystems — that costs durability, not correctness.
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            if let Ok(handle) = std::fs::File::open(dir) {
-                let _ = handle.sync_all();
-            }
-        }
-        Ok(())
+        codec::atomic_write(path, &self.snapshot_bytes(), true)
+            .map(|_| ())
+            .map_err(|e| SnapshotError::Io(e.to_string()))
     }
 
     /// The conventional snapshot path for a process definition file:

@@ -318,9 +318,6 @@ fn save_if_grown(encoded: &Encoded, cache: Option<&Path>, baseline: usize, diag:
     if encoded.automaton.stats().expanded <= baseline {
         return;
     }
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
     match encoded.save_snapshot(path) {
         Ok(()) => {
             diag.emit(|| ObsEvent::SnapshotSaved {

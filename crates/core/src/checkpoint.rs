@@ -6,11 +6,11 @@
 //! Both reduce to the same primitive — serialize an *open* session so it
 //! can be rebuilt later, byte-identically.
 //!
-//! The format deliberately reuses the `.pcas` machinery from
-//! [`cows::automaton::snapshot`]: the same versioned+checksummed envelope
-//! (magic, format version, content key, payload length, FNV-1a 64
-//! checksum), the same local symbol table, and the same fail-open typed
-//! errors. A case checkpoint is keyed by its process's
+//! The format deliberately reuses the `.pcas` machinery: the same
+//! versioned+checksummed [`codec`] envelope (magic, format version,
+//! content key, payload length, FNV-1a 64 checksum), the same local symbol
+//! table and state encoding from [`cows::automaton::snapshot`], and the
+//! same fail-open typed errors. A case checkpoint is keyed by its process's
 //! [`Encoded::snapshot_key`], so a checkpoint written against yesterday's
 //! process model self-invalidates instead of resuming against the wrong
 //! automaton.
@@ -37,8 +37,9 @@ use crate::session::{SessionMeta, SessionState};
 use crate::severity::SeverityAssessment;
 use audit::entry::{LogEntry, TaskStatus};
 use audit::time::Timestamp;
+use codec::{Reader, Writer};
 use cows::symbol::Symbol;
-use cows::{SnapshotError, StableHasher, StateDecoder, StateEncoder};
+use cows::{SnapshotError, SymbolTable, SymbolWriter};
 use policy::object::ObjectId;
 use policy::statement::Action;
 use std::fmt;
@@ -56,9 +57,6 @@ pub const SHARDED_MAGIC: [u8; 4] = *b"PCLS";
 /// v2: closed-case records carry the severity breadth set, so resumed
 /// monitors keep folding post-alarm entries into the assessment.
 pub const CHECKPOINT_VERSION: u32 = 2;
-
-/// Envelope size: magic + version + key + payload length + checksum.
-pub const HEADER_LEN: usize = 32;
 
 /// Content key of a monitor envelope: monitors span processes, so the
 /// per-process keys live on the nested case blobs instead.
@@ -174,131 +172,72 @@ pub struct MonitorCheckpoint {
 }
 
 // ---------------------------------------------------------------------------
-// Envelope
-// ---------------------------------------------------------------------------
-
-/// Seal a payload in the `.pcas`-shaped envelope.
-pub(crate) fn seal(magic: [u8; 4], key: u64, payload: Vec<u8>) -> Vec<u8> {
-    let mut checksum = StableHasher::new();
-    checksum.write(&payload);
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&magic);
-    out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-    out.extend_from_slice(&key.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&checksum.finish().to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
-}
-
-/// Validate an envelope and return `(key, payload)`. Strictly fail-open,
-/// mirroring `decode_snapshot`.
-pub(crate) fn open(bytes: &[u8], magic: [u8; 4]) -> Result<(u64, &[u8]), SnapshotError> {
-    if bytes.len() < HEADER_LEN {
-        if bytes.len() >= 4 && bytes[..4] != magic {
-            return Err(SnapshotError::BadMagic);
-        }
-        return Err(SnapshotError::Truncated);
-    }
-    if bytes[..4] != magic {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if version != CHECKPOINT_VERSION {
-        return Err(SnapshotError::VersionMismatch {
-            found: version,
-            expected: CHECKPOINT_VERSION,
-        });
-    }
-    let key = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    let payload_len = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes")) as usize;
-    let stored_checksum = u64::from_le_bytes(bytes[24..32].try_into().expect("8 bytes"));
-    let payload = &bytes[HEADER_LEN..];
-    if payload.len() < payload_len {
-        return Err(SnapshotError::Truncated);
-    }
-    if payload.len() > payload_len {
-        return Err(SnapshotError::Malformed("trailing bytes after payload"));
-    }
-    let mut checksum = StableHasher::new();
-    checksum.write(payload);
-    let computed = checksum.finish();
-    if computed != stored_checksum {
-        return Err(SnapshotError::ChecksumMismatch {
-            stored: stored_checksum,
-            computed,
-        });
-    }
-    Ok((key, payload))
-}
-
-// ---------------------------------------------------------------------------
 // Field codecs
 // ---------------------------------------------------------------------------
 
-fn put_entry(enc: &mut StateEncoder, e: &LogEntry) {
-    enc.put_sym(e.user);
-    enc.put_sym(e.role);
-    enc.put_u8(match e.action {
+fn put_entry(out: &mut Vec<u8>, syms: &mut SymbolWriter, e: &LogEntry) {
+    syms.put(out, e.user);
+    syms.put(out, e.role);
+    out.put_u8(match e.action {
         Action::Read => 0,
         Action::Write => 1,
         Action::Execute => 2,
         Action::Cancel => 3,
     });
     match &e.object {
-        None => enc.put_u8(0),
+        None => out.put_u8(0),
         Some(obj) => {
-            enc.put_u8(1);
+            out.put_u8(1);
             match obj.subject {
-                None => enc.put_u8(0),
+                None => out.put_u8(0),
                 Some(s) => {
-                    enc.put_u8(1);
-                    enc.put_sym(s);
+                    out.put_u8(1);
+                    syms.put(out, s);
                 }
             }
-            enc.put_len(obj.path.len());
+            out.put_count(obj.path.len());
             for &p in &obj.path {
-                enc.put_sym(p);
+                syms.put(out, p);
             }
         }
     }
-    enc.put_sym(e.task);
-    enc.put_sym(e.case);
-    enc.put_u64(e.time.0);
-    enc.put_u8(match e.status {
+    syms.put(out, e.task);
+    syms.put(out, e.case);
+    out.put_u64(e.time.0);
+    out.put_u8(match e.status {
         TaskStatus::Success => 0,
         TaskStatus::Failure => 1,
     });
 }
 
-fn get_entry(dec: &mut StateDecoder<'_>) -> Result<LogEntry, SnapshotError> {
-    let user = dec.get_sym()?;
-    let role = dec.get_sym()?;
-    let action = match dec.get_u8()? {
+fn get_entry(r: &mut Reader<'_>, t: &SymbolTable) -> Result<LogEntry, SnapshotError> {
+    let user = t.sym(r)?;
+    let role = t.sym(r)?;
+    let action = match r.u8()? {
         0 => Action::Read,
         1 => Action::Write,
         2 => Action::Execute,
         3 => Action::Cancel,
         _ => return Err(SnapshotError::Malformed("bad action tag")),
     };
-    let object = match dec.get_u8()? {
+    let object = match r.u8()? {
         0 => None,
         1 => {
-            let subject = match dec.get_u8()? {
+            let subject = match r.u8()? {
                 0 => None,
-                1 => Some(dec.get_sym()?),
+                1 => Some(t.sym(r)?),
                 _ => return Err(SnapshotError::Malformed("bad subject flag")),
             };
-            let n = dec.get_len()?;
-            let path = (0..n).map(|_| dec.get_sym()).collect::<Result<_, _>>()?;
+            let n = r.count()?;
+            let path = (0..n).map(|_| t.sym(r)).collect::<Result<_, _>>()?;
             Some(ObjectId { subject, path })
         }
         _ => return Err(SnapshotError::Malformed("bad object flag")),
     };
-    let task = dec.get_sym()?;
-    let case = dec.get_sym()?;
-    let time = Timestamp(dec.get_u64()?);
-    let status = match dec.get_u8()? {
+    let task = t.sym(r)?;
+    let case = t.sym(r)?;
+    let time = Timestamp(r.u64()?);
+    let status = match r.u8()? {
         0 => TaskStatus::Success,
         1 => TaskStatus::Failure,
         _ => return Err(SnapshotError::Malformed("bad status tag")),
@@ -315,46 +254,46 @@ fn get_entry(dec: &mut StateDecoder<'_>) -> Result<LogEntry, SnapshotError> {
     })
 }
 
-fn put_strings(enc: &mut StateEncoder, v: &[String]) {
-    enc.put_len(v.len());
+fn put_strings(out: &mut Vec<u8>, v: &[String]) {
+    out.put_count(v.len());
     for s in v {
-        enc.put_str(s);
+        out.put_str(s);
     }
 }
 
-fn get_strings(dec: &mut StateDecoder<'_>) -> Result<Vec<String>, SnapshotError> {
-    let n = dec.get_len()?;
-    (0..n).map(|_| dec.get_str()).collect()
+fn get_strings(r: &mut Reader<'_>) -> Result<Vec<String>, SnapshotError> {
+    let n = r.count()?;
+    (0..n).map(|_| r.str().map(str::to_owned)).collect()
 }
 
-fn put_infringement(enc: &mut StateEncoder, inf: &Infringement) {
-    enc.put_u64(inf.entry_index as u64);
-    put_entry(enc, &inf.entry);
-    put_strings(enc, &inf.expected);
-    put_strings(enc, &inf.active);
+fn put_infringement(out: &mut Vec<u8>, syms: &mut SymbolWriter, inf: &Infringement) {
+    out.put_u64(inf.entry_index as u64);
+    put_entry(out, syms, &inf.entry);
+    put_strings(out, &inf.expected);
+    put_strings(out, &inf.active);
     match inf.kind {
-        InfringementKind::ProcessDeviation => enc.put_u8(0),
+        InfringementKind::ProcessDeviation => out.put_u8(0),
         InfringementKind::TemporalViolation {
             elapsed_minutes,
             limit_minutes,
         } => {
-            enc.put_u8(1);
-            enc.put_u64(elapsed_minutes);
-            enc.put_u64(limit_minutes);
+            out.put_u8(1);
+            out.put_u64(elapsed_minutes);
+            out.put_u64(limit_minutes);
         }
     }
 }
 
-fn get_infringement(dec: &mut StateDecoder<'_>) -> Result<Infringement, SnapshotError> {
-    let entry_index = dec.get_u64()? as usize;
-    let entry = get_entry(dec)?;
-    let expected = get_strings(dec)?;
-    let active = get_strings(dec)?;
-    let kind = match dec.get_u8()? {
+fn get_infringement(r: &mut Reader<'_>, t: &SymbolTable) -> Result<Infringement, SnapshotError> {
+    let entry_index = r.u64()? as usize;
+    let entry = get_entry(r, t)?;
+    let expected = get_strings(r)?;
+    let active = get_strings(r)?;
+    let kind = match r.u8()? {
         0 => InfringementKind::ProcessDeviation,
         1 => InfringementKind::TemporalViolation {
-            elapsed_minutes: dec.get_u64()?,
-            limit_minutes: dec.get_u64()?,
+            elapsed_minutes: r.u64()?,
+            limit_minutes: r.u64()?,
         },
         _ => return Err(SnapshotError::Malformed("bad infringement kind")),
     };
@@ -367,38 +306,20 @@ fn get_infringement(dec: &mut StateDecoder<'_>) -> Result<Infringement, Snapshot
     })
 }
 
-fn put_severity(enc: &mut StateEncoder, s: &SeverityAssessment) {
-    enc.put_u64(s.unaccounted_entries as u64);
-    enc.put_u64(s.max_sensitivity.to_bits());
-    enc.put_u64(s.subjects_touched as u64);
-    enc.put_u64(s.score.to_bits());
+fn put_severity(out: &mut Vec<u8>, s: &SeverityAssessment) {
+    out.put_u64(s.unaccounted_entries as u64);
+    out.put_u64(s.max_sensitivity.to_bits());
+    out.put_u64(s.subjects_touched as u64);
+    out.put_u64(s.score.to_bits());
 }
 
-fn get_severity(dec: &mut StateDecoder<'_>) -> Result<SeverityAssessment, SnapshotError> {
+fn get_severity(r: &mut Reader<'_>) -> Result<SeverityAssessment, SnapshotError> {
     Ok(SeverityAssessment {
-        unaccounted_entries: dec.get_u64()? as usize,
-        max_sensitivity: f64::from_bits(dec.get_u64()?),
-        subjects_touched: dec.get_u64()? as usize,
-        score: f64::from_bits(dec.get_u64()?),
+        unaccounted_entries: r.u64()? as usize,
+        max_sensitivity: f64::from_bits(r.u64()?),
+        subjects_touched: r.u64()? as usize,
+        score: f64::from_bits(r.u64()?),
     })
-}
-
-fn put_opt_str(enc: &mut StateEncoder, s: Option<&str>) {
-    match s {
-        None => enc.put_u8(0),
-        Some(s) => {
-            enc.put_u8(1);
-            enc.put_str(s);
-        }
-    }
-}
-
-fn get_opt_str(dec: &mut StateDecoder<'_>) -> Result<Option<String>, SnapshotError> {
-    match dec.get_u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(dec.get_str()?)),
-        _ => Err(SnapshotError::Malformed("bad option flag")),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -409,62 +330,79 @@ fn get_opt_str(dec: &mut StateDecoder<'_>) -> Result<Option<String>, SnapshotErr
 /// key, so a stale spill file fails closed at `decode` time rather than
 /// resuming against a changed process.
 pub fn encode_case(c: &CaseCheckpoint) -> Vec<u8> {
-    let mut enc = StateEncoder::new();
-    enc.put_sym(c.case);
-    enc.put_sym(c.purpose);
+    let mut syms = SymbolWriter::default();
+    let mut out = Vec::new();
+    syms.put(&mut out, c.case);
+    syms.put(&mut out, c.purpose);
     let meta = &c.state.meta;
-    enc.put_u64(meta.consumed as u64);
-    enc.put_u64(meta.explored as u64);
-    enc.put_u64(meta.peak as u64);
+    out.put_u64(meta.consumed as u64);
+    out.put_u64(meta.explored as u64);
+    out.put_u64(meta.peak as u64);
     match meta.first_time {
-        None => enc.put_u8(0),
+        None => out.put_u8(0),
         Some(t) => {
-            enc.put_u8(1);
-            enc.put_u64(t.0);
+            out.put_u8(1);
+            out.put_u64(t.0);
         }
     }
-    put_opt_str(&mut enc, meta.case_name.as_deref());
-    enc.put_len(c.entries.len());
+    match &meta.case_name {
+        None => out.put_u8(0),
+        Some(name) => {
+            out.put_u8(1);
+            out.put_str(name);
+        }
+    }
+    out.put_count(c.entries.len());
     for e in &c.entries {
-        put_entry(&mut enc, e);
+        put_entry(&mut out, &mut syms, e);
     }
-    enc.put_u64(c.entries_dropped);
-    enc.put_u64(c.last_seen.0);
-    enc.put_len(c.state.confs.len());
+    out.put_u64(c.entries_dropped);
+    out.put_u64(c.last_seen.0);
+    out.put_count(c.state.confs.len());
     for m in &c.state.confs {
-        enc.put_state(m);
+        syms.put_state(&mut out, m);
     }
-    seal(CASE_MAGIC, c.process_key, enc.into_payload())
+    codec::seal(
+        CASE_MAGIC,
+        CHECKPOINT_VERSION,
+        c.process_key,
+        &syms.payload(out),
+    )
 }
 
 /// Decode one case checkpoint. States come back re-normalized under this
 /// run's symbol order; `process_key` is the envelope key (validated
 /// against the auditor's registry by the restore path, not here).
 pub fn decode_case(bytes: &[u8]) -> Result<CaseCheckpoint, SnapshotError> {
-    let (process_key, payload) = open(bytes, CASE_MAGIC)?;
-    let mut dec = StateDecoder::new(payload)?;
-    let case = dec.get_sym()?;
-    let purpose = dec.get_sym()?;
-    let consumed = dec.get_u64()? as usize;
-    let explored = dec.get_u64()? as usize;
-    let peak = dec.get_u64()? as usize;
-    let first_time = match dec.get_u8()? {
+    let (process_key, payload) = codec::open(bytes, CASE_MAGIC, CHECKPOINT_VERSION, None)?;
+    let mut r = Reader::new(payload);
+    let t = SymbolTable::read(&mut r)?;
+    let case = t.sym(&mut r)?;
+    let purpose = t.sym(&mut r)?;
+    let consumed = r.u64()? as usize;
+    let explored = r.u64()? as usize;
+    let peak = r.u64()? as usize;
+    let first_time = match r.u8()? {
         0 => None,
-        1 => Some(Timestamp(dec.get_u64()?)),
+        1 => Some(Timestamp(r.u64()?)),
         _ => return Err(SnapshotError::Malformed("bad first-time flag")),
     };
-    let case_name = get_opt_str(&mut dec)?;
-    let n = dec.get_len()?;
+    let case_name = match r.u8()? {
+        0 => None,
+        1 => Some(r.str()?.to_owned()),
+        _ => return Err(SnapshotError::Malformed("bad option flag")),
+    };
+    let n = r.count()?;
     let entries = (0..n)
-        .map(|_| get_entry(&mut dec))
+        .map(|_| get_entry(&mut r, &t))
         .collect::<Result<Vec<_>, _>>()?;
-    let entries_dropped = dec.get_u64()?;
-    let last_seen = Timestamp(dec.get_u64()?);
-    let n = dec.get_len()?;
+    let entries_dropped = r.u64()?;
+    let last_seen = Timestamp(r.u64()?);
+    let n = r.count()?;
     let confs = (0..n)
-        .map(|_| dec.get_state())
+        .map(|_| t.state(&mut r))
         .collect::<Result<Vec<_>, _>>()?;
-    dec.finish()?;
+    r.finish()?;
     Ok(CaseCheckpoint {
         case,
         purpose,
@@ -492,89 +430,77 @@ pub fn decode_case(bytes: &[u8]) -> Result<CaseCheckpoint, SnapshotError> {
 /// Serialize a whole monitor. Each open case is a complete nested `PCLC`
 /// blob — identical bytes to its spill file.
 pub fn encode_monitor(m: &MonitorCheckpoint) -> Vec<u8> {
-    let mut enc = StateEncoder::new();
-    enc.put_u64(m.stream_offset);
-    enc.put_len(m.cases.len());
-    let mut nested: Vec<Vec<u8>> = Vec::with_capacity(m.cases.len());
+    let mut out = Vec::new();
+    // Head section: its symbol table is always empty (the nested blobs
+    // carry their own), then the stream offset and the length-prefixed
+    // case blobs.
+    out.put_count(0);
+    out.put_u64(m.stream_offset);
+    out.put_count(m.cases.len());
     for c in &m.cases {
-        nested.push(encode_case(c));
-    }
-    let mut payload = enc.into_payload();
-    for blob in &nested {
-        payload.extend_from_slice(&(blob.len() as u32).to_le_bytes());
-        payload.extend_from_slice(blob);
+        out.put_bytes(&encode_case(c));
     }
     // Closed cases and alarm order go in a second symbol-table section so
     // the nested raw blobs do not interleave with interned symbols.
-    let mut tail = StateEncoder::new();
-    tail.put_len(m.closed.len());
+    let mut syms = SymbolWriter::default();
+    let mut tail = Vec::new();
+    tail.put_count(m.closed.len());
     for c in &m.closed {
-        tail.put_sym(c.case);
+        syms.put(&mut tail, c.case);
         tail.put_u64(c.after_alarm);
-        put_infringement(&mut tail, &c.infringement);
+        put_infringement(&mut tail, &mut syms, &c.infringement);
         put_severity(&mut tail, &c.severity);
         // The breadth set: resumed monitors keep absorbing post-alarm
         // entries into the severity assessment.
-        tail.put_len(c.subjects.len());
+        tail.put_count(c.subjects.len());
         for &s in &c.subjects {
-            tail.put_sym(s);
+            syms.put(&mut tail, s);
         }
     }
-    tail.put_len(m.alarm_order.len());
+    tail.put_count(m.alarm_order.len());
     for &c in &m.alarm_order {
-        tail.put_sym(c);
+        syms.put(&mut tail, c);
     }
-    payload.extend_from_slice(&tail.into_payload());
-    seal(MONITOR_MAGIC, MONITOR_KEY, payload)
+    out.extend_from_slice(&syms.payload(tail));
+    codec::seal(MONITOR_MAGIC, CHECKPOINT_VERSION, MONITOR_KEY, &out)
 }
 
 /// Decode a whole-monitor checkpoint.
 pub fn decode_monitor(bytes: &[u8]) -> Result<MonitorCheckpoint, SnapshotError> {
-    let (_, payload) = open(bytes, MONITOR_MAGIC)?;
-    // Head section: stream offset + case count.
-    let mut dec = StateDecoder::new(payload)?;
-    let stream_offset = dec.get_u64()?;
-    let ncases = dec.get_len()?;
-    let mut pos = dec.consumed_bytes();
-    let mut cases = Vec::with_capacity(ncases);
-    for _ in 0..ncases {
-        if pos + 4 > payload.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        let len = u32::from_le_bytes(payload[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        pos += 4;
-        if pos + len > payload.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        cases.push(decode_case(&payload[pos..pos + len])?);
-        pos += len;
-    }
-    // Tail section: closed cases + alarm order.
-    let mut tail = StateDecoder::new(&payload[pos..])?;
-    let nclosed = tail.get_len()?;
-    let mut closed = Vec::with_capacity(nclosed);
-    for _ in 0..nclosed {
-        let case = tail.get_sym()?;
-        let after_alarm = tail.get_u64()?;
-        let infringement = get_infringement(&mut tail)?;
-        let severity = get_severity(&mut tail)?;
-        let nsubjects = tail.get_len()?;
-        let subjects = (0..nsubjects)
-            .map(|_| tail.get_sym())
-            .collect::<Result<std::collections::BTreeSet<_>, _>>()?;
-        closed.push(ClosedCase {
-            case,
-            infringement,
-            severity,
-            subjects,
-            after_alarm,
-        });
-    }
-    let nalarms = tail.get_len()?;
-    let alarm_order = (0..nalarms)
-        .map(|_| tail.get_sym())
+    let (_, payload) = codec::open(bytes, MONITOR_MAGIC, CHECKPOINT_VERSION, None)?;
+    let mut r = Reader::new(payload);
+    SymbolTable::read(&mut r)?; // the head section's table, written empty
+    let stream_offset = r.u64()?;
+    let ncases = r.count()?;
+    let cases = (0..ncases)
+        .map(|_| decode_case(r.bytes()?))
         .collect::<Result<Vec<_>, _>>()?;
-    tail.finish()?;
+    let t = SymbolTable::read(&mut r)?;
+    let nclosed = r.count()?;
+    let closed = (0..nclosed)
+        .map(|_| {
+            let case = t.sym(&mut r)?;
+            let after_alarm = r.u64()?;
+            let infringement = get_infringement(&mut r, &t)?;
+            let severity = get_severity(&mut r)?;
+            let nsubjects = r.count()?;
+            let subjects = (0..nsubjects)
+                .map(|_| t.sym(&mut r))
+                .collect::<Result<_, _>>()?;
+            Ok(ClosedCase {
+                case,
+                infringement,
+                severity,
+                subjects,
+                after_alarm,
+            })
+        })
+        .collect::<Result<Vec<_>, SnapshotError>>()?;
+    let nalarms = r.count()?;
+    let alarm_order = (0..nalarms)
+        .map(|_| t.sym(&mut r))
+        .collect::<Result<Vec<_>, _>>()?;
+    r.finish()?;
     Ok(MonitorCheckpoint {
         stream_offset,
         cases,
@@ -588,41 +514,30 @@ pub fn decode_monitor(bytes: &[u8]) -> Result<MonitorCheckpoint, SnapshotError> 
 // ---------------------------------------------------------------------------
 
 /// Serialize a sharded monitor: the shard count followed by one complete
-/// nested `PCLM` blob per shard, in shard order.
+/// nested `PCLM` blob per shard (`u64` length + bytes), in shard order.
 pub fn encode_sharded(shards: &[Vec<u8>]) -> Vec<u8> {
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&(shards.len() as u32).to_le_bytes());
+    let mut out = Vec::new();
+    out.put_count(shards.len());
     for blob in shards {
-        payload.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-        payload.extend_from_slice(blob);
+        out.put_u64(blob.len() as u64);
+        out.extend_from_slice(blob);
     }
-    seal(SHARDED_MAGIC, MONITOR_KEY, payload)
+    codec::seal(SHARDED_MAGIC, CHECKPOINT_VERSION, MONITOR_KEY, &out)
 }
 
 /// Split a sharded checkpoint back into its per-shard monitor blobs.
 pub fn decode_sharded(bytes: &[u8]) -> Result<Vec<Vec<u8>>, SnapshotError> {
-    let (_, payload) = open(bytes, SHARDED_MAGIC)?;
-    if payload.len() < 4 {
-        return Err(SnapshotError::Truncated);
-    }
-    let n = u32::from_le_bytes(payload[..4].try_into().expect("4 bytes")) as usize;
-    let mut pos = 4;
-    let mut shards = Vec::with_capacity(n);
-    for _ in 0..n {
-        if pos + 8 > payload.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        let len = u64::from_le_bytes(payload[pos..pos + 8].try_into().expect("8 bytes")) as usize;
-        pos += 8;
-        if pos + len > payload.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        shards.push(payload[pos..pos + len].to_vec());
-        pos += len;
-    }
-    if pos != payload.len() {
-        return Err(SnapshotError::Malformed("trailing bytes after shards"));
-    }
+    let (_, payload) = codec::open(bytes, SHARDED_MAGIC, CHECKPOINT_VERSION, None)?;
+    let mut r = Reader::new(payload);
+    let n = r.count()?;
+    let shards = (0..n)
+        .map(|_| {
+            let len = r.u64()?;
+            let len = r.bounded(len)?;
+            Ok(r.take(len)?.to_vec())
+        })
+        .collect::<Result<Vec<_>, SnapshotError>>()?;
+    r.finish()?;
     Ok(shards)
 }
 
@@ -756,6 +671,33 @@ mod tests {
         for len in 0..bytes.len() {
             assert!(decode_sharded(&bytes[..len]).is_err());
         }
+    }
+
+    /// A forged sharded checkpoint, resealed so it passes the envelope,
+    /// whose first shard claims `u64::MAX` bytes or whose shard count runs
+    /// far past the payload is a typed error. The old decoder overflowed
+    /// `pos + len` and sized its shard list from the unchecked count.
+    #[test]
+    fn forged_shard_length_and_count_are_typed() {
+        let mut payload = Vec::new();
+        payload.put_u32(1);
+        payload.put_u64(u64::MAX);
+        payload.extend_from_slice(&MONITOR_MAGIC);
+        let forged = codec::seal(SHARDED_MAGIC, CHECKPOINT_VERSION, MONITOR_KEY, &payload);
+        assert_eq!(
+            decode_sharded(&forged).unwrap_err(),
+            SnapshotError::Truncated
+        );
+        let forged = codec::seal(
+            SHARDED_MAGIC,
+            CHECKPOINT_VERSION,
+            MONITOR_KEY,
+            &u32::MAX.to_le_bytes(),
+        );
+        assert_eq!(
+            decode_sharded(&forged).unwrap_err(),
+            SnapshotError::Truncated
+        );
     }
 
     #[test]

@@ -30,6 +30,7 @@
 use crate::session::SessionMeta;
 use audit::entry::{LogEntry, TaskStatus};
 use audit::time::Timestamp;
+use codec::{Reader, Writer};
 use cows::automaton::StateId;
 use cows::symbol::Symbol;
 use cows::SnapshotError;
@@ -60,51 +61,16 @@ pub struct ChurnCheckpoint {
     pub last_seen: Timestamp,
 }
 
-// ---------------------------------------------------------------------------
-// Varint primitives (LEB128, unsigned)
-// ---------------------------------------------------------------------------
-
-#[inline]
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-#[inline]
-fn get_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, SnapshotError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let &b = bytes.get(*pos).ok_or(SnapshotError::Truncated)?;
-        *pos += 1;
-        if shift >= 64 {
-            return Err(SnapshotError::Malformed("varint overflows u64"));
-        }
-        v |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
-}
-
 fn put_sym(out: &mut Vec<u8>, s: Symbol) {
-    put_varint(out, u64::from(s.index()));
+    out.put_varint(u64::from(s.index()));
 }
 
 /// Decode one symbol index, validated against a caller-held
 /// [`Symbol::interned_len`] snapshot — one interner-lock acquisition per
 /// blob instead of one per symbol, which is what keeps rehydration off
 /// the interner lock under churn.
-fn get_sym(bytes: &[u8], pos: &mut usize, known: u32) -> Result<Symbol, SnapshotError> {
-    let idx = get_varint(bytes, pos)?;
+fn get_sym(r: &mut Reader<'_>, known: u32) -> Result<Symbol, SnapshotError> {
+    let idx = r.varint()?;
     u32::try_from(idx)
         .ok()
         .and_then(|i| Symbol::from_index_below(i, known))
@@ -136,33 +102,32 @@ fn entry_flags(e: &LogEntry) -> u8 {
 /// of a spilled case shares the envelope's case, so it is re-attached at
 /// decode time.
 fn put_entry(out: &mut Vec<u8>, e: &LogEntry) {
-    out.push(entry_flags(e));
+    out.put_u8(entry_flags(e));
     put_sym(out, e.user);
     put_sym(out, e.role);
     put_sym(out, e.task);
-    put_varint(out, e.time.0);
+    out.put_varint(e.time.0);
     if let Some(obj) = &e.object {
         if let Some(s) = obj.subject {
             put_sym(out, s);
         }
-        put_varint(out, obj.path.len() as u64);
+        out.put_varint(obj.path.len() as u64);
         for &p in &obj.path {
             put_sym(out, p);
         }
     }
 }
 
-fn get_entry(
-    bytes: &[u8],
-    pos: &mut usize,
-    case: Symbol,
-    known: u32,
-) -> Result<LogEntry, SnapshotError> {
-    let &flags = bytes.get(*pos).ok_or(SnapshotError::Truncated)?;
-    *pos += 1;
+fn entry_flags_from(r: &mut Reader<'_>) -> Result<u8, SnapshotError> {
+    let flags = r.u8()?;
     if flags & !0x1f != 0 {
         return Err(SnapshotError::Malformed("bad entry flags"));
     }
+    Ok(flags)
+}
+
+fn get_entry(r: &mut Reader<'_>, case: Symbol, known: u32) -> Result<LogEntry, SnapshotError> {
+    let flags = entry_flags_from(r)?;
     let action = match flags & 0x3 {
         0 => Action::Read,
         1 => Action::Write,
@@ -174,22 +139,19 @@ fn get_entry(
     } else {
         TaskStatus::Success
     };
-    let user = get_sym(bytes, pos, known)?;
-    let role = get_sym(bytes, pos, known)?;
-    let task = get_sym(bytes, pos, known)?;
-    let time = Timestamp(get_varint(bytes, pos)?);
+    let user = get_sym(r, known)?;
+    let role = get_sym(r, known)?;
+    let task = get_sym(r, known)?;
+    let time = Timestamp(r.varint()?);
     let object = if flags & 0x8 != 0 {
         let subject = if flags & 0x10 != 0 {
-            Some(get_sym(bytes, pos, known)?)
+            Some(get_sym(r, known)?)
         } else {
             None
         };
-        let n = get_varint(bytes, pos)? as usize;
-        if n > bytes.len() {
-            return Err(SnapshotError::Malformed("object path longer than blob"));
-        }
+        let n = r.varint_count()?;
         let path = (0..n)
-            .map(|_| get_sym(bytes, pos, known))
+            .map(|_| get_sym(r, known))
             .collect::<Result<_, _>>()?;
         Some(ObjectId { subject, path })
     } else {
@@ -210,26 +172,19 @@ fn get_entry(
 /// Advance past one encoded entry without building a [`LogEntry`] — the
 /// front-trim path of [`EntryBlock`], which must not pay decode allocations
 /// just to drop the window's oldest element.
-fn skip_entry(bytes: &[u8], pos: &mut usize) -> Result<(), SnapshotError> {
-    let &flags = bytes.get(*pos).ok_or(SnapshotError::Truncated)?;
-    *pos += 1;
-    if flags & !0x1f != 0 {
-        return Err(SnapshotError::Malformed("bad entry flags"));
-    }
+fn skip_entry(r: &mut Reader<'_>) -> Result<(), SnapshotError> {
+    let flags = entry_flags_from(r)?;
     // user, role, task, time
     for _ in 0..4 {
-        get_varint(bytes, pos)?;
+        r.varint()?;
     }
     if flags & 0x8 != 0 {
         if flags & 0x10 != 0 {
-            get_varint(bytes, pos)?;
+            r.varint()?;
         }
-        let n = get_varint(bytes, pos)? as usize;
-        if n > bytes.len() {
-            return Err(SnapshotError::Malformed("object path longer than blob"));
-        }
+        let n = r.varint_count()?;
         for _ in 0..n {
-            get_varint(bytes, pos)?;
+            r.varint()?;
         }
     }
     Ok(())
@@ -319,10 +274,10 @@ impl EntryBlock {
         if self.count == 0 {
             return;
         }
-        let mut pos = self.start;
-        match skip_entry(&self.bytes, &mut pos) {
+        let mut r = Reader::new(self.live());
+        match skip_entry(&mut r) {
             Ok(()) => {
-                self.start = pos;
+                self.start += r.position();
                 self.count -= 1;
                 if self.start * 2 > self.bytes.len() {
                     self.bytes.drain(..self.start);
@@ -342,13 +297,11 @@ impl EntryBlock {
     /// entry is re-attached to `case`, exactly like envelope decode.
     pub fn decode(&self, case: Symbol) -> Result<Vec<LogEntry>, SnapshotError> {
         let known = Symbol::interned_len();
-        let mut pos = self.start;
+        let mut r = Reader::new(self.live());
         let entries = (0..self.count)
-            .map(|_| get_entry(&self.bytes, &mut pos, case, known))
+            .map(|_| get_entry(&mut r, case, known))
             .collect::<Result<Vec<_>, _>>()?;
-        if pos != self.bytes.len() {
-            return Err(SnapshotError::Malformed("trailing bytes in entry window"));
-        }
+        r.finish()?;
         Ok(entries)
     }
 }
@@ -372,36 +325,36 @@ pub fn encode_churn(c: &ChurnCheckpoint) -> Vec<u8> {
     out.extend_from_slice(&CHURN_MAGIC);
     put_sym(&mut out, c.case);
     put_sym(&mut out, c.purpose);
-    out.extend_from_slice(&c.process_key.to_le_bytes());
-    put_varint(&mut out, c.meta.consumed as u64);
-    put_varint(&mut out, c.meta.explored as u64);
-    put_varint(&mut out, c.meta.peak as u64);
+    out.put_u64(c.process_key);
+    out.put_varint(c.meta.consumed as u64);
+    out.put_varint(c.meta.explored as u64);
+    out.put_varint(c.meta.peak as u64);
     match c.meta.first_time {
-        None => out.push(0),
+        None => out.put_u8(0),
         Some(t) => {
-            out.push(1);
-            put_varint(&mut out, t.0);
+            out.put_u8(1);
+            out.put_varint(t.0);
         }
     }
     match &c.meta.case_name {
-        None => out.push(NAME_NONE),
-        Some(name) if name == c.case.as_str() => out.push(NAME_IS_CASE),
+        None => out.put_u8(NAME_NONE),
+        Some(name) if name == c.case.as_str() => out.put_u8(NAME_IS_CASE),
         Some(name) => {
-            out.push(NAME_INLINE);
-            put_varint(&mut out, name.len() as u64);
+            out.put_u8(NAME_INLINE);
+            out.put_varint(name.len() as u64);
             out.extend_from_slice(name.as_bytes());
         }
     }
-    put_varint(&mut out, c.entries_dropped);
-    put_varint(&mut out, c.last_seen.0);
+    out.put_varint(c.entries_dropped);
+    out.put_varint(c.last_seen.0);
     // The window travels verbatim: entry count, byte length, raw records.
     let window = c.entries.live();
-    put_varint(&mut out, c.entries.len() as u64);
-    put_varint(&mut out, window.len() as u64);
+    out.put_varint(c.entries.len() as u64);
+    out.put_varint(window.len() as u64);
     out.extend_from_slice(window);
-    put_varint(&mut out, c.ids.len() as u64);
+    out.put_varint(c.ids.len() as u64);
     for &id in &c.ids {
-        put_varint(&mut out, u64::from(id));
+        out.put_varint(u64::from(id));
     }
     out
 }
@@ -410,88 +363,56 @@ pub fn encode_churn(c: &ChurnCheckpoint) -> Vec<u8> {
 /// durable envelopes (a defensive property, not a compatibility one — a
 /// malformed blob here would mean monitor-internal corruption).
 pub fn decode_churn(bytes: &[u8]) -> Result<ChurnCheckpoint, SnapshotError> {
-    if bytes.len() < 4 {
-        return Err(SnapshotError::Truncated);
-    }
-    if bytes[..4] != CHURN_MAGIC {
+    let mut r = Reader::new(bytes);
+    if r.take(4)? != CHURN_MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    let mut pos = 4;
     let known = Symbol::interned_len();
-    let case = get_sym(bytes, &mut pos, known)?;
-    let purpose = get_sym(bytes, &mut pos, known)?;
-    if pos + 8 > bytes.len() {
-        return Err(SnapshotError::Truncated);
-    }
-    let process_key = u64::from_le_bytes(bytes[pos..pos + 8].try_into().expect("8 bytes"));
-    pos += 8;
-    let consumed = get_varint(bytes, &mut pos)? as usize;
-    let explored = get_varint(bytes, &mut pos)? as usize;
-    let peak = get_varint(bytes, &mut pos)? as usize;
-    let first_time = match bytes.get(pos).copied() {
-        Some(0) => {
-            pos += 1;
-            None
-        }
-        Some(1) => {
-            pos += 1;
-            Some(Timestamp(get_varint(bytes, &mut pos)?))
-        }
-        Some(_) => return Err(SnapshotError::Malformed("bad first-time flag")),
-        None => return Err(SnapshotError::Truncated),
+    let case = get_sym(&mut r, known)?;
+    let purpose = get_sym(&mut r, known)?;
+    let process_key = r.u64()?;
+    let consumed = r.varint()? as usize;
+    let explored = r.varint()? as usize;
+    let peak = r.varint()? as usize;
+    let first_time = match r.u8()? {
+        0 => None,
+        1 => Some(Timestamp(r.varint()?)),
+        _ => return Err(SnapshotError::Malformed("bad first-time flag")),
     };
-    let case_name = match bytes.get(pos).copied() {
-        Some(NAME_NONE) => {
-            pos += 1;
-            None
-        }
-        Some(NAME_IS_CASE) => {
-            pos += 1;
-            Some(case.to_string())
-        }
-        Some(NAME_INLINE) => {
-            pos += 1;
-            let len = get_varint(bytes, &mut pos)? as usize;
-            let raw = bytes.get(pos..pos + len).ok_or(SnapshotError::Truncated)?;
-            pos += len;
+    let case_name = match r.u8()? {
+        NAME_NONE => None,
+        NAME_IS_CASE => Some(case.to_string()),
+        NAME_INLINE => {
+            let len = r.varint_count()?;
+            let raw = r.take(len)?;
             Some(
                 std::str::from_utf8(raw)
                     .map_err(|_| SnapshotError::Malformed("case name is not utf-8"))?
                     .to_string(),
             )
         }
-        Some(_) => return Err(SnapshotError::Malformed("bad case-name flag")),
-        None => return Err(SnapshotError::Truncated),
+        _ => return Err(SnapshotError::Malformed("bad case-name flag")),
     };
-    let entries_dropped = get_varint(bytes, &mut pos)?;
-    let last_seen = Timestamp(get_varint(bytes, &mut pos)?);
-    let nentries = get_varint(bytes, &mut pos)? as usize;
-    let nbytes = get_varint(bytes, &mut pos)? as usize;
+    let entries_dropped = r.varint()?;
+    let last_seen = Timestamp(r.varint()?);
+    let nentries = r.varint()?;
+    let nbytes = r.varint_count()?;
     // Flags + three symbols + timestamp make 5 bytes the smallest entry.
-    if nentries.saturating_mul(5) > nbytes {
+    if nentries.saturating_mul(5) > nbytes as u64 {
         return Err(SnapshotError::Malformed("entry count longer than window"));
     }
-    let raw = bytes
-        .get(pos..pos.saturating_add(nbytes))
-        .ok_or(SnapshotError::Truncated)?;
-    pos += nbytes;
     // The window stays in wire form — rehydration pays O(ids + meta), and
     // the entries decode only at an alarm or a durable checkpoint.
-    let entries = EntryBlock::from_wire(nentries, raw.to_vec());
-    let nids = get_varint(bytes, &mut pos)? as usize;
-    if nids > bytes.len() {
-        return Err(SnapshotError::Malformed("id count longer than blob"));
-    }
+    let entries = EntryBlock::from_wire(nentries as usize, r.take(nbytes)?.to_vec());
+    let nids = r.varint_count()?;
     let mut ids = Vec::with_capacity(nids);
     for _ in 0..nids {
-        let id = get_varint(bytes, &mut pos)?;
+        let id = r.varint()?;
         ids.push(
             u32::try_from(id).map_err(|_| SnapshotError::Malformed("state id overflows u32"))?,
         );
     }
-    if pos != bytes.len() {
-        return Err(SnapshotError::Malformed("trailing bytes after churn blob"));
-    }
+    r.finish()?;
     Ok(ChurnCheckpoint {
         case,
         purpose,
@@ -576,10 +497,10 @@ mod tests {
     fn entry_block_rejects_symbols_the_run_never_interned() {
         let block = EntryBlock::from_wire(1, {
             let mut raw = vec![0u8]; // flags: read/success/no object
-            put_varint(&mut raw, u64::from(u32::MAX)); // user index: never issued
-            put_varint(&mut raw, 0);
-            put_varint(&mut raw, 0);
-            put_varint(&mut raw, 0);
+            raw.put_varint(u64::from(u32::MAX)); // user index: never issued
+            raw.put_varint(0);
+            raw.put_varint(0);
+            raw.put_varint(0);
             raw
         });
         assert_eq!(
@@ -634,7 +555,7 @@ mod tests {
         // A symbol index the interner never issued is rejected, not
         // conjured: varint-encode u32::MAX into the case position.
         let mut bad = CHURN_MAGIC.to_vec();
-        put_varint(&mut bad, u64::from(u32::MAX));
+        bad.put_varint(u64::from(u32::MAX));
         assert_eq!(
             decode_churn(&bad).unwrap_err(),
             SnapshotError::Malformed("symbol index unknown to this run")
@@ -645,14 +566,28 @@ mod tests {
     fn varint_round_trips_at_the_edges() {
         for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
             let mut out = Vec::new();
-            put_varint(&mut out, v);
-            let mut pos = 0;
-            assert_eq!(get_varint(&out, &mut pos).unwrap(), v);
-            assert_eq!(pos, out.len());
+            out.put_varint(v);
+            let mut r = Reader::new(&out);
+            assert_eq!(r.varint().unwrap(), v);
+            r.finish().unwrap();
         }
         // An 11-byte varint overflows u64 and is rejected.
-        let over = [0x80u8; 10];
-        let mut pos = 0;
-        assert!(get_varint(&over, &mut pos).is_err());
+        assert!(Reader::new(&[0x80u8; 10]).varint().is_err());
+    }
+
+    /// A forged inline case name whose varint length is `u64::MAX` is a
+    /// typed error — the old `pos + len` overflowed and panicked.
+    #[test]
+    fn case_name_length_past_the_blob_is_typed() {
+        let c = sample();
+        let mut blob = CHURN_MAGIC.to_vec();
+        put_sym(&mut blob, c.case);
+        put_sym(&mut blob, c.purpose);
+        blob.put_u64(c.process_key);
+        blob.extend_from_slice(&[0, 0, 0, 0]); // counters, no first time
+        blob.put_u8(NAME_INLINE);
+        blob.put_varint(u64::MAX);
+        blob.extend_from_slice(b"HT-7");
+        assert_eq!(decode_churn(&blob).unwrap_err(), SnapshotError::Truncated);
     }
 }

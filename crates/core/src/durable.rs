@@ -12,24 +12,25 @@
 //!
 //! Two primitives cover every persistence path:
 //!
-//! * [`atomic_write_sync`] — whole-file replacement with the full
-//!   write → fsync → rename → parent-dir-fsync sequence, for checkpoint
-//!   files (`PCLM`/`PCLS`/`.ckpt`), observability exports and anything
-//!   else written in one shot. Under [`SyncPolicy::Never`] the syncs are
-//!   skipped but the tmp + rename atomicity is kept: a reader never
-//!   observes a half-written file, a crash at worst loses the newest
-//!   version.
+//! * [`atomic_write_sync`] — whole-file replacement through
+//!   [`codec::atomic_write`] (write → fsync → rename → parent-dir-fsync)
+//!   under a [`SyncPolicy`], for checkpoint files (`PCLM`/`PCLS`/`.ckpt`),
+//!   observability exports and anything else written in one shot. Under
+//!   [`SyncPolicy::Never`] the syncs are skipped but the tmp + rename
+//!   atomicity is kept: a reader never observes a half-written file, a
+//!   crash at worst loses the newest version.
 //! * [`DurableFile`] — an append-oriented handle for the spill log:
 //!   positioned writes with policy-driven fsync ([`SyncPolicy::Always`]
 //!   syncs every append, [`SyncPolicy::Batched`] every n-th,
 //!   [`SyncPolicy::Never`] leaves flushing to the kernel).
 //!
-//! Fault injection is compiled in under `#[cfg(any(test, feature =
-//! "chaos"))]` (see [`fault`]): a seeded [`fault::FaultPlan`] scoped to a
-//! directory prefix makes the N-th durable operation under that prefix
-//! fail with a short write, EIO or ENOSPC — or abort the process — so
-//! every persistence path can be driven through disk failure and must
-//! answer with a typed error, never a panic and never a wrong verdict.
+//! Fault injection ([`fault`], re-exported from `codec`) is compiled in
+//! under `#[cfg(any(test, feature = "chaos"))]`: a [`fault::FaultPlan`]
+//! scoped to a directory prefix makes the N-th durable operation under
+//! that prefix fail with a short write, EIO or ENOSPC — or abort the
+//! process — so every persistence path can be driven through disk failure
+//! and must answer with a typed error, never a panic and never a wrong
+//! verdict.
 
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -114,52 +115,11 @@ pub fn is_no_space(e: &io::Error) -> bool {
     e.raw_os_error() == Some(28) || e.to_string().contains("ENOSPC")
 }
 
-/// Write `bytes` to `path` atomically with policy-driven durability:
-/// write a sibling tmp file, fsync it, rename over `path`, fsync the
-/// parent directory (so the rename itself survives a crash). Returns the
-/// number of fsyncs performed (0 under [`SyncPolicy::Never`]).
-///
-/// The tmp file is `<file name>.tmp-durable` in the same directory, so
-/// the rename never crosses a filesystem boundary.
+/// Write `bytes` to `path` atomically ([`codec::atomic_write`]), syncing
+/// unless the policy is [`SyncPolicy::Never`]. Returns the number of
+/// fsyncs performed.
 pub fn atomic_write_sync(path: &Path, bytes: &[u8], policy: SyncPolicy) -> io::Result<u64> {
-    #[cfg(any(test, feature = "chaos"))]
-    fault::check_write(path, bytes.len())?;
-    let dir = match path.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d.to_path_buf(),
-        _ => PathBuf::from("."),
-    };
-    fs::create_dir_all(&dir)?;
-    let name = path
-        .file_name()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
-    let mut tmp_name = name.to_os_string();
-    tmp_name.push(".tmp-durable");
-    let tmp = dir.join(tmp_name);
-    let mut fsyncs = 0u64;
-    let outcome = (|| {
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        if policy.syncs() {
-            file.sync_all()?;
-            fsyncs += 1;
-        }
-        drop(file);
-        fs::rename(&tmp, path)?;
-        if policy.syncs() {
-            // Directory fsync makes the rename itself durable; failure to
-            // *open* the directory (exotic filesystems) is not fatal — the
-            // data file is already synced.
-            if let Ok(d) = fs::File::open(&dir) {
-                d.sync_all()?;
-                fsyncs += 1;
-            }
-        }
-        Ok(fsyncs)
-    })();
-    if outcome.is_err() {
-        let _ = fs::remove_file(&tmp);
-    }
-    outcome
+    codec::atomic_write(path, bytes, policy.syncs())
 }
 
 /// Per-handle durability counters, folded into
@@ -226,7 +186,7 @@ impl DurableFile {
     /// same `io::Error` a failing disk would produce.
     pub fn write_at(&mut self, offset: u64, buf: &[u8]) -> io::Result<()> {
         #[cfg(any(test, feature = "chaos"))]
-        if let Err(e) = fault::check_write(&self.path, buf.len()) {
+        if let Err(e) = fault::check_write(&self.path) {
             self.stats.injected_faults += 1;
             // A short write leaves real bytes behind — exactly the torn
             // tail the recovery scan must cope with.
@@ -273,143 +233,11 @@ impl DurableFile {
     }
 }
 
-/// Deterministic disk-fault injection, compiled in for tests and
-/// `--features chaos` builds only.
-///
-/// A [`FaultPlan`] is *scoped to a directory prefix*: only durable
-/// operations on paths under the scope count toward (and suffer) the
-/// fault, so concurrent tests with separate scratch directories never
-/// interfere. Plans are armed process-globally ([`arm`]) and removed
-/// with [`disarm`]/[`disarm_all`].
 #[cfg(any(test, feature = "chaos"))]
-pub mod fault {
-    use std::io;
-    use std::path::{Path, PathBuf};
-    use std::sync::Mutex;
+pub use codec::fault;
 
-    /// What the injected failure looks like to the caller.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub enum FaultKind {
-        /// Half the buffer reaches the file, then the write "fails" —
-        /// the torn-write case recovery must truncate.
-        ShortWrite,
-        /// A plain I/O error (medium failure).
-        Eio,
-        /// Disk full (errno 28) — the one failure the live monitor
-        /// degrades through instead of surfacing.
-        Enospc,
-        /// `std::process::abort()` — the crash-after-op-N probe for
-        /// child-process harnesses.
-        Crash,
-    }
-
-    /// One scheduled fault: the `at_op`-th durable write under `scope`
-    /// fails with `kind`; with `persistent` every later write fails too
-    /// (a full disk stays full).
-    #[derive(Clone, Debug)]
-    pub struct FaultPlan {
-        pub scope: PathBuf,
-        pub kind: FaultKind,
-        pub at_op: u64,
-        pub persistent: bool,
-    }
-
-    impl FaultPlan {
-        pub fn new(scope: impl Into<PathBuf>, kind: FaultKind, at_op: u64) -> FaultPlan {
-            FaultPlan {
-                scope: scope.into(),
-                kind,
-                at_op: at_op.max(1),
-                persistent: matches!(kind, FaultKind::Enospc),
-            }
-        }
-
-        /// A seed-derived plan: splitmix64 picks the failing operation
-        /// (1..=12) and the failure mode (crash excluded — that one is
-        /// always explicit).
-        pub fn seeded(scope: impl Into<PathBuf>, seed: u64) -> FaultPlan {
-            let mut s = seed;
-            let kind = match super::splitmix64(&mut s) % 3 {
-                0 => FaultKind::ShortWrite,
-                1 => FaultKind::Eio,
-                _ => FaultKind::Enospc,
-            };
-            let at_op = super::splitmix64(&mut s) % 12 + 1;
-            FaultPlan::new(scope, kind, at_op)
-        }
-    }
-
-    struct Armed {
-        plan: FaultPlan,
-        ops: u64,
-    }
-
-    static ARMED: Mutex<Vec<Armed>> = Mutex::new(Vec::new());
-
-    /// Injected faults fired so far, process-wide.
-    static FIRED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-    /// Schedule a fault. Multiple plans (distinct scopes) may be armed.
-    pub fn arm(plan: FaultPlan) {
-        ARMED
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(Armed { plan, ops: 0 });
-    }
-
-    /// Remove every plan scoped under `scope`.
-    pub fn disarm(scope: &Path) {
-        ARMED
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .retain(|a| !a.plan.scope.starts_with(scope) && !scope.starts_with(&a.plan.scope));
-    }
-
-    pub fn disarm_all() {
-        ARMED.lock().unwrap_or_else(|p| p.into_inner()).clear();
-    }
-
-    /// Total injected faults fired since process start.
-    pub fn fired() -> u64 {
-        FIRED.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Called by every durable write: counts the operation against any
-    /// armed plan whose scope covers `path` and returns the scheduled
-    /// failure when the counter hits.
-    pub(super) fn check_write(path: &Path, _len: usize) -> io::Result<()> {
-        let mut armed = ARMED.lock().unwrap_or_else(|p| p.into_inner());
-        for a in armed.iter_mut() {
-            if !path.starts_with(&a.plan.scope) {
-                continue;
-            }
-            a.ops += 1;
-            let hit = a.ops == a.plan.at_op || (a.plan.persistent && a.ops > a.plan.at_op);
-            if !hit {
-                continue;
-            }
-            FIRED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            return Err(match a.plan.kind {
-                FaultKind::ShortWrite => {
-                    io::Error::new(io::ErrorKind::WriteZero, "injected short write")
-                }
-                FaultKind::Eio => io::Error::other("injected EIO"),
-                FaultKind::Enospc => io::Error::from_raw_os_error(28),
-                FaultKind::Crash => std::process::abort(),
-            });
-        }
-        Ok(())
-    }
-
-    /// For an injected short write, how many bytes actually to leave in
-    /// the file (half the buffer) — `None` for other fault kinds.
-    pub(super) fn short_write_len(e: &io::Error, len: usize) -> Option<usize> {
-        (e.kind() == io::ErrorKind::WriteZero).then_some(len / 2)
-    }
-}
-
-/// The splitmix64 step — the seed mixer shared by fault plans and the
-/// crash harness schedules (no dependency on the vendored `rand`).
+/// The splitmix64 step — the seed mixer of the crash harness schedules
+/// (no dependency on the vendored `rand`).
 pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;

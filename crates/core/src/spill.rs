@@ -50,8 +50,8 @@ use std::fs;
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
+use codec::{Reader, SnapshotError, StableHasher, Writer};
 use cows::symbol::Symbol;
-use cows::StableHasher;
 
 use crate::durable::{self, atomic_write_sync, DurableFile, SyncPolicy};
 
@@ -97,7 +97,7 @@ pub enum SpillError {
         source: io::Error,
     },
     /// A stored blob failed to decode.
-    Codec { detail: String },
+    Codec(SnapshotError),
 }
 
 impl SpillError {
@@ -122,7 +122,7 @@ impl std::fmt::Display for SpillError {
             SpillError::Io { op, path, source } => {
                 write!(f, "{op} {}: {source}", path.display())
             }
-            SpillError::Codec { detail } => write!(f, "spill blob corrupt: {detail}"),
+            SpillError::Codec(e) => write!(f, "spill blob corrupt: {e}"),
         }
     }
 }
@@ -158,6 +158,23 @@ fn record_checksum(case_index: u32, payload: &[u8]) -> u64 {
     h.finish()
 }
 
+/// Append one record (header + payload) to `out`.
+fn put_record(out: &mut Vec<u8>, case_index: u32, payload: &[u8]) {
+    out.put_u32(case_index);
+    out.put_count(payload.len());
+    out.put_u64(record_checksum(case_index, payload));
+    out.extend_from_slice(payload);
+}
+
+/// Read one record whose header, length and checksum all hold.
+fn read_record<'b>(r: &mut Reader<'b>) -> Option<(u32, &'b [u8])> {
+    let case = r.u32().ok()?;
+    let len = r.u32().ok()?;
+    let stored = r.u64().ok()?;
+    let payload = r.take(len as usize).ok()?;
+    (record_checksum(case, payload) == stored).then_some((case, payload))
+}
+
 /// What a torn-tail scan of a spill log recovered.
 pub struct LogRecovery {
     /// Fully written records in file order: the case's raw interner index
@@ -182,25 +199,16 @@ pub fn recover_log(path: &Path) -> Result<LogRecovery, SpillError> {
 
 fn scan_records(bytes: &[u8]) -> LogRecovery {
     let mut records = Vec::new();
-    let mut pos = 0usize;
-    while let Some(header) = bytes.get(pos..pos + REC_HEADER as usize) {
-        let case = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-        let len = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) as usize;
-        let stored = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-        let payload_at = pos + REC_HEADER as usize;
-        let Some(payload) = bytes.get(payload_at..payload_at + len) else {
-            break;
-        };
-        if record_checksum(case, payload) != stored {
-            break;
-        }
+    let mut r = Reader::new(bytes);
+    let mut valid = 0;
+    while let Some((case, payload)) = read_record(&mut r) {
         records.push((case, payload.to_vec()));
-        pos = payload_at + len;
+        valid = r.position();
     }
     LogRecovery {
         records,
-        valid_bytes: pos as u64,
-        dropped_bytes: (bytes.len() - pos) as u64,
+        valid_bytes: valid as u64,
+        dropped_bytes: (bytes.len() - valid) as u64,
     }
 }
 
@@ -500,13 +508,9 @@ impl SpillStore {
         drained.sort_by_key(|(c, _)| *c);
         let mut placed: Vec<(Symbol, u64, u32)> = Vec::with_capacity(drained.len());
         for (case, blob) in &drained {
-            let len = u32::try_from(blob.len()).expect("spill blobs are far below 4 GiB");
-            batch.extend_from_slice(&case.index().to_le_bytes());
-            batch.extend_from_slice(&len.to_le_bytes());
-            batch.extend_from_slice(&record_checksum(case.index(), blob).to_le_bytes());
-            let payload_at = log.tail + batch.len() as u64;
-            batch.extend_from_slice(blob);
-            placed.push((*case, payload_at, len));
+            put_record(&mut batch, case.index(), blob);
+            let payload_at = log.tail + (batch.len() - blob.len()) as u64;
+            placed.push((*case, payload_at, blob.len() as u32));
         }
         if let Err(source) = log.file.write_at(log.tail, &batch) {
             let _ = log.file.set_len(log.tail);
@@ -562,11 +566,8 @@ impl SpillStore {
             log.file
                 .read_at(offset, &mut blob)
                 .map_err(SpillError::io("compact: read spill log", &log.path))?;
-            rewritten.extend_from_slice(&case.index().to_le_bytes());
-            rewritten.extend_from_slice(&len.to_le_bytes());
-            rewritten.extend_from_slice(&record_checksum(case.index(), &blob).to_le_bytes());
-            index.insert(case, (rewritten.len() as u64, len));
-            rewritten.extend_from_slice(&blob);
+            put_record(&mut rewritten, case.index(), &blob);
+            index.insert(case, ((rewritten.len() - blob.len()) as u64, len));
             live_bytes += u64::from(len);
         }
         // The old handle's counters would vanish with the handle — fold
@@ -606,7 +607,7 @@ impl SpillLog {
 
 /// Decode a stored blob, lifting codec failures into [`SpillError`].
 fn decode(blob: &[u8]) -> Result<Vec<u8>, SpillError> {
-    decompress(blob).map_err(|detail| SpillError::Codec { detail })
+    decompress(blob).map_err(SpillError::Codec)
 }
 
 // ---------------------------------------------------------------------------
@@ -688,43 +689,39 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Invert [`compress`].
-pub fn decompress(blob: &[u8]) -> Result<Vec<u8>, String> {
-    match blob.split_first() {
-        Some((&TAG_RAW, rest)) => Ok(rest.to_vec()),
-        Some((&TAG_LZ, rest)) => {
-            if rest.len() < 4 {
-                return Err("compressed blob truncated before length".into());
+/// Invert [`compress`]. The declared length is checked against what the
+/// blob can expand to before anything is allocated for it.
+pub fn decompress(blob: &[u8]) -> Result<Vec<u8>, SnapshotError> {
+    let mut r = Reader::new(blob);
+    match r.u8()? {
+        TAG_RAW => Ok(r.take(r.remaining())?.to_vec()),
+        TAG_LZ => {
+            let expect = r.u32()? as usize;
+            // A literal yields one byte and a two-byte match token at most
+            // `MAX_MATCH`, so no stream expands past this.
+            if expect > r.remaining().saturating_mul(MAX_MATCH / 2) {
+                return Err(SnapshotError::Malformed(
+                    "declared length exceeds what the blob can expand to",
+                ));
             }
-            let expect = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
             let mut out = Vec::with_capacity(expect);
-            let mut pos = 4usize;
             let mut flags = 0u8;
             let mut flag_count = 8u8;
             while out.len() < expect {
                 if flag_count == 8 {
-                    flags = *rest.get(pos).ok_or("compressed blob truncated at flags")?;
-                    pos += 1;
+                    flags = r.u8()?;
                     flag_count = 0;
                 }
                 if flags >> flag_count & 1 == 1 {
-                    out.push(
-                        *rest
-                            .get(pos)
-                            .ok_or("compressed blob truncated at literal")?,
-                    );
-                    pos += 1;
+                    out.push(r.u8()?);
                 } else {
-                    let lo = *rest.get(pos).ok_or("compressed blob truncated at match")?;
-                    let hi = *rest
-                        .get(pos + 1)
-                        .ok_or("compressed blob truncated at match")?;
-                    pos += 2;
-                    let token = u16::from_le_bytes([lo, hi]);
+                    let token = u16::from_le_bytes([r.u8()?, r.u8()?]);
                     let distance = (token >> 4) as usize + 1;
                     let length = (token & 0xf) as usize + MIN_MATCH;
                     if distance > out.len() {
-                        return Err("match distance before start of output".into());
+                        return Err(SnapshotError::Malformed(
+                            "match distance before start of output",
+                        ));
                     }
                     let start = out.len() - distance;
                     for k in 0..length {
@@ -737,11 +734,11 @@ pub fn decompress(blob: &[u8]) -> Result<Vec<u8>, String> {
                 flag_count += 1;
             }
             if out.len() != expect {
-                return Err("decompressed length mismatch".into());
+                return Err(SnapshotError::Malformed("decompressed length mismatch"));
             }
             Ok(out)
         }
-        _ => Err("empty or untagged compressed blob".into()),
+        _ => Err(SnapshotError::Malformed("unknown compression tag")),
     }
 }
 

@@ -10,22 +10,17 @@
 //!
 //! ## Format (version 1)
 //!
-//! ```text
-//! offset size  field
-//!      0    4  magic  b"PCAS"
-//!      4    4  format version (u32 LE)
-//!      8    8  process key (u64 LE) — stable content hash of the encoded
-//!              process + observability, computed by the owner (bpmn)
-//!     16    8  payload length (u64 LE)
-//!     24    8  payload checksum (FNV-1a 64, u64 LE)
-//!     32    …  payload
-//! ```
+//! The [`codec`] envelope with magic `b"PCAS"`, whose content key is a
+//! stable content hash of the encoded process + observability, computed
+//! by the owner (bpmn).
 //!
 //! The payload is: a local symbol table (symbols are stored as strings once
 //! and referenced by dense `u32` index — interner indices are run-local and
 //! never persisted), the state list (each state a COWS term plus its
 //! `running` set), the interned initial state, then per-state edge tables,
-//! quiescence bits and token-task caches.
+//! quiescence bits and token-task caches. The symbol table and the state
+//! encoding ([`SymbolWriter`], [`SymbolTable`]) are shared with the
+//! live-session checkpoints.
 //!
 //! ## Run-independence
 //!
@@ -52,8 +47,9 @@ use crate::observe::Observation;
 use crate::symbol::Symbol;
 use crate::term::{Decl, Endpoint, Guard, Invoke, Request, Service, Word};
 use crate::weaknext::{Marked, TaskInstance};
-use std::collections::BTreeSet;
-use std::fmt;
+use codec::{Reader, Writer};
+pub use codec::{SnapshotError, StableHasher, HEADER_LEN};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// The four magic bytes opening every snapshot.
@@ -63,110 +59,13 @@ pub const MAGIC: [u8; 4] = *b"PCAS";
 /// golden-fixture test exists to force that deliberation.
 pub const FORMAT_VERSION: u32 = 1;
 
-/// Header size in bytes (magic + version + key + payload length + checksum).
-pub const HEADER_LEN: usize = 32;
-
 /// Decode recursion guard: deeper terms than this are rejected as malformed
 /// rather than risking a stack overflow on hostile input.
 const MAX_TERM_DEPTH: usize = 4_096;
 
-/// Why a snapshot could not be loaded. Every variant is a cold-start
-/// fallback reason, never a panic.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SnapshotError {
-    /// The file does not start with [`MAGIC`].
-    BadMagic,
-    /// The format version is not [`FORMAT_VERSION`].
-    VersionMismatch { found: u32, expected: u32 },
-    /// The snapshot was written for a different process (or observability).
-    KeyMismatch { found: u64, expected: u64 },
-    /// The byte stream ends before the declared payload does.
-    Truncated,
-    /// The payload bytes do not hash to the stored checksum.
-    ChecksumMismatch { stored: u64, computed: u64 },
-    /// The payload decoded inconsistently (bad tag, index out of range, …).
-    Malformed(&'static str),
-    /// The snapshot file could not be read or written.
-    Io(String),
-}
-
-impl fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapshotError::BadMagic => write!(f, "not an automaton snapshot (bad magic)"),
-            SnapshotError::VersionMismatch { found, expected } => {
-                write!(f, "snapshot format v{found}, this build reads v{expected}")
-            }
-            SnapshotError::KeyMismatch { found, expected } => write!(
-                f,
-                "snapshot keyed to a different process \
-                 (key {found:#018x}, expected {expected:#018x})"
-            ),
-            SnapshotError::Truncated => write!(f, "snapshot is truncated"),
-            SnapshotError::ChecksumMismatch { stored, computed } => write!(
-                f,
-                "snapshot payload corrupted \
-                 (checksum {computed:#018x}, header says {stored:#018x})"
-            ),
-            SnapshotError::Malformed(what) => write!(f, "snapshot payload malformed: {what}"),
-            SnapshotError::Io(e) => write!(f, "snapshot io: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
 // ---------------------------------------------------------------------------
 // Stable hashing (process keys)
 // ---------------------------------------------------------------------------
-
-/// FNV-1a 64 — a byte-stream hash whose value depends only on the bytes
-/// fed, never on interner state or process layout. Used both for snapshot
-/// checksums and for the content keys that make stale snapshots
-/// self-invalidate.
-#[derive(Clone, Copy, Debug)]
-pub struct StableHasher(u64);
-
-impl StableHasher {
-    pub fn new() -> StableHasher {
-        StableHasher(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    pub fn write_u8(&mut self, v: u8) {
-        self.write(&[v]);
-    }
-
-    pub fn write_u32(&mut self, v: u32) {
-        self.write(&v.to_le_bytes());
-    }
-
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Length-prefixed, so `("ab", "c")` and `("a", "bc")` hash apart.
-    pub fn write_str(&mut self, s: &str) {
-        self.write_u32(s.len() as u32);
-        self.write(s.as_bytes());
-    }
-
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for StableHasher {
-    fn default() -> Self {
-        StableHasher::new()
-    }
-}
 
 fn hash_word(h: &mut StableHasher, w: &Word) {
     match w {
@@ -257,235 +156,193 @@ pub fn hash_service(h: &mut StableHasher, s: &Service) {
 }
 
 // ---------------------------------------------------------------------------
-// Encoder
+// Symbol tables and state encoding
 // ---------------------------------------------------------------------------
 
-/// Payload writer with a local symbol table: each distinct symbol string is
-/// written once; every use is a dense `u32` index.
-struct Encoder {
-    body: Vec<u8>,
+/// The encode side of a payload's local symbol table: each distinct symbol
+/// is written once, as its string, and every use is a dense `u32` index.
+/// A payload is the table followed by the body ([`SymbolWriter::payload`]).
+#[derive(Default)]
+pub struct SymbolWriter {
     table: Vec<Symbol>,
-    index: std::collections::HashMap<Symbol, u32>,
+    index: HashMap<Symbol, u32>,
 }
 
-impl Encoder {
-    fn new() -> Encoder {
-        Encoder {
-            body: Vec::new(),
-            table: Vec::new(),
-            index: std::collections::HashMap::new(),
-        }
-    }
-
-    fn put_u8(&mut self, v: u8) {
-        self.body.push(v);
-    }
-
-    fn put_u32(&mut self, v: u32) {
-        self.body.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_len(&mut self, n: usize) {
-        self.put_u32(u32::try_from(n).expect("snapshot collection fits u32"));
-    }
-
-    fn put_sym(&mut self, s: Symbol) {
+impl SymbolWriter {
+    /// Write `s` to `out` as its table index.
+    #[inline]
+    pub fn put(&mut self, out: &mut Vec<u8>, s: Symbol) {
         let next = self.table.len() as u32;
         let id = *self.index.entry(s).or_insert_with(|| {
             self.table.push(s);
             next
         });
-        self.put_u32(id);
+        out.put_u32(id);
     }
 
-    fn put_word(&mut self, w: &Word) {
+    fn put_word(&mut self, out: &mut Vec<u8>, w: &Word) {
         match w {
             Word::Name(s) => {
-                self.put_u8(0);
-                self.put_sym(*s);
+                out.put_u8(0);
+                self.put(out, *s);
             }
             Word::Var(s) => {
-                self.put_u8(1);
-                self.put_sym(*s);
+                out.put_u8(1);
+                self.put(out, *s);
             }
         }
     }
 
-    fn put_endpoint(&mut self, e: &Endpoint) {
-        self.put_sym(e.partner);
-        self.put_sym(e.op);
+    fn put_endpoint(&mut self, out: &mut Vec<u8>, e: &Endpoint) {
+        self.put(out, e.partner);
+        self.put(out, e.op);
     }
 
-    fn put_service(&mut self, s: &Service) {
+    fn put_service(&mut self, out: &mut Vec<u8>, s: &Service) {
         match s {
-            Service::Nil => self.put_u8(0),
+            Service::Nil => out.put_u8(0),
             Service::Invoke(i) => {
-                self.put_u8(1);
-                self.put_endpoint(&i.ep);
-                self.put_len(i.args.len());
+                out.put_u8(1);
+                self.put_endpoint(out, &i.ep);
+                out.put_count(i.args.len());
                 for w in &i.args {
-                    self.put_word(w);
+                    self.put_word(out, w);
                 }
-                self.put_len(i.completes.len());
+                out.put_count(i.completes.len());
                 for e in &i.completes {
-                    self.put_endpoint(e);
+                    self.put_endpoint(out, e);
                 }
             }
             Service::Guarded(g) => {
-                self.put_u8(2);
-                self.put_len(g.branches.len());
+                out.put_u8(2);
+                out.put_count(g.branches.len());
                 for b in &g.branches {
-                    self.put_endpoint(&b.ep);
-                    self.put_len(b.params.len());
+                    self.put_endpoint(out, &b.ep);
+                    out.put_count(b.params.len());
                     for w in &b.params {
-                        self.put_word(w);
+                        self.put_word(out, w);
                     }
-                    self.put_service(&b.cont);
+                    self.put_service(out, &b.cont);
                 }
             }
             Service::Parallel(ps) => {
-                self.put_u8(3);
-                self.put_len(ps.len());
+                out.put_u8(3);
+                out.put_count(ps.len());
                 for p in ps {
-                    self.put_service(p);
+                    self.put_service(out, p);
                 }
             }
             Service::Delim(d, body) => {
-                self.put_u8(4);
-                match d {
-                    Decl::Name(n) => {
-                        self.put_u8(0);
-                        self.put_sym(*n);
-                    }
-                    Decl::Var(v) => {
-                        self.put_u8(1);
-                        self.put_sym(*v);
-                    }
-                    Decl::Killer(k) => {
-                        self.put_u8(2);
-                        self.put_sym(*k);
-                    }
-                }
-                self.put_service(body);
+                out.put_u8(4);
+                let (tag, s) = match d {
+                    Decl::Name(n) => (0, n),
+                    Decl::Var(v) => (1, v),
+                    Decl::Killer(k) => (2, k),
+                };
+                out.put_u8(tag);
+                self.put(out, *s);
+                self.put_service(out, body);
             }
             Service::Protect(body) => {
-                self.put_u8(5);
-                self.put_service(body);
+                out.put_u8(5);
+                self.put_service(out, body);
             }
             Service::Kill(k) => {
-                self.put_u8(6);
-                self.put_sym(*k);
+                out.put_u8(6);
+                self.put(out, *k);
             }
             Service::Repl(body) => {
-                self.put_u8(7);
-                self.put_service(body);
+                out.put_u8(7);
+                self.put_service(out, body);
             }
         }
     }
 
-    fn put_task_set(&mut self, tasks: &BTreeSet<TaskInstance>) {
-        self.put_len(tasks.len());
+    fn put_task_set(&mut self, out: &mut Vec<u8>, tasks: &BTreeSet<TaskInstance>) {
+        out.put_count(tasks.len());
         for &(r, q) in tasks {
-            self.put_sym(r);
-            self.put_sym(q);
+            self.put(out, r);
+            self.put(out, q);
         }
     }
 
-    /// Assemble the payload: symbol table first (it was filled while the
-    /// body was written), then the body.
-    fn into_payload(self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(self.body.len() + 16 * self.table.len());
-        payload.extend_from_slice(&(self.table.len() as u32).to_le_bytes());
+    /// One marked state: the COWS term plus its running-task set.
+    pub fn put_state(&mut self, out: &mut Vec<u8>, m: &Marked) {
+        self.put_service(out, &m.service);
+        self.put_task_set(out, &m.running);
+    }
+
+    /// Assemble a payload: the table (it was filled while `body` was
+    /// written), then `body`. Takes `body` so it is freed as soon as it is
+    /// copied: a large snapshot then never holds three buffers at once.
+    pub fn payload(self, body: Vec<u8>) -> Vec<u8> {
+        let mut out = Vec::with_capacity(body.len() + 16 * self.table.len());
+        out.put_count(self.table.len());
         for s in &self.table {
-            let text = s.as_str();
-            payload.extend_from_slice(&(text.len() as u32).to_le_bytes());
-            payload.extend_from_slice(text.as_bytes());
+            out.put_str(s.as_str());
         }
-        payload.extend_from_slice(&self.body);
-        payload
+        out.extend_from_slice(&body);
+        out
     }
 }
 
-// ---------------------------------------------------------------------------
-// Decoder
-// ---------------------------------------------------------------------------
+/// The decode side of a payload's symbol table, read from the payload's
+/// front and interned into this run.
+pub struct SymbolTable(Vec<Symbol>);
 
-struct Decoder<'b> {
-    bytes: &'b [u8],
-    pos: usize,
-    table: Vec<Symbol>,
-}
-
-impl<'b> Decoder<'b> {
-    fn take(&mut self, n: usize) -> Result<&'b [u8], SnapshotError> {
-        let end = self.pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
+impl SymbolTable {
+    pub fn read(r: &mut Reader<'_>) -> Result<SymbolTable, SnapshotError> {
+        let n = r.count()?;
+        (0..n)
+            .map(|_| {
+                std::str::from_utf8(r.bytes()?)
+                    .map(Symbol::new)
+                    .map_err(|_| SnapshotError::Malformed("symbol is not utf-8"))
+            })
+            .collect::<Result<_, _>>()
+            .map(SymbolTable)
     }
 
-    fn get_u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn get_u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    /// A collection length; bounded by the bytes that remain so a corrupt
-    /// count cannot trigger a huge allocation.
-    fn get_len(&mut self) -> Result<usize, SnapshotError> {
-        let n = self.get_u32()? as usize;
-        if n > self.bytes.len() - self.pos {
-            return Err(SnapshotError::Truncated);
-        }
-        Ok(n)
-    }
-
-    fn get_sym(&mut self) -> Result<Symbol, SnapshotError> {
-        let id = self.get_u32()? as usize;
-        self.table
+    /// A symbol written by [`SymbolWriter::put`].
+    pub fn sym(&self, r: &mut Reader<'_>) -> Result<Symbol, SnapshotError> {
+        let id = r.u32()? as usize;
+        self.0
             .get(id)
             .copied()
             .ok_or(SnapshotError::Malformed("symbol index out of range"))
     }
 
-    fn get_word(&mut self) -> Result<Word, SnapshotError> {
-        match self.get_u8()? {
-            0 => Ok(Word::Name(self.get_sym()?)),
-            1 => Ok(Word::Var(self.get_sym()?)),
+    fn word(&self, r: &mut Reader<'_>) -> Result<Word, SnapshotError> {
+        match r.u8()? {
+            0 => Ok(Word::Name(self.sym(r)?)),
+            1 => Ok(Word::Var(self.sym(r)?)),
             _ => Err(SnapshotError::Malformed("bad word tag")),
         }
     }
 
-    fn get_endpoint(&mut self) -> Result<Endpoint, SnapshotError> {
+    fn endpoint(&self, r: &mut Reader<'_>) -> Result<Endpoint, SnapshotError> {
         Ok(Endpoint {
-            partner: self.get_sym()?,
-            op: self.get_sym()?,
+            partner: self.sym(r)?,
+            op: self.sym(r)?,
         })
     }
 
-    fn get_service(&mut self, depth: usize) -> Result<Service, SnapshotError> {
+    fn words(&self, r: &mut Reader<'_>) -> Result<Vec<Word>, SnapshotError> {
+        let n = r.count()?;
+        (0..n).map(|_| self.word(r)).collect()
+    }
+
+    fn service(&self, r: &mut Reader<'_>, depth: usize) -> Result<Service, SnapshotError> {
         if depth > MAX_TERM_DEPTH {
             return Err(SnapshotError::Malformed("term nested too deep"));
         }
-        match self.get_u8()? {
+        match r.u8()? {
             0 => Ok(Service::Nil),
             1 => {
-                let ep = self.get_endpoint()?;
-                let nargs = self.get_len()?;
-                let args = (0..nargs)
-                    .map(|_| self.get_word())
-                    .collect::<Result<_, _>>()?;
-                let ncompl = self.get_len()?;
-                let completes = (0..ncompl)
-                    .map(|_| self.get_endpoint())
-                    .collect::<Result<_, _>>()?;
+                let ep = self.endpoint(r)?;
+                let args = self.words(r)?;
+                let n = r.count()?;
+                let completes = (0..n).map(|_| self.endpoint(r)).collect::<Result<_, _>>()?;
                 Ok(Service::Invoke(Invoke {
                     ep,
                     args,
@@ -493,51 +350,66 @@ impl<'b> Decoder<'b> {
                 }))
             }
             2 => {
-                let n = self.get_len()?;
+                let n = r.count()?;
                 let mut branches = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let ep = self.get_endpoint()?;
-                    let nparams = self.get_len()?;
-                    let params = (0..nparams)
-                        .map(|_| self.get_word())
-                        .collect::<Result<_, _>>()?;
-                    let cont = Arc::new(self.get_service(depth + 1)?);
-                    branches.push(Request { ep, params, cont });
+                    branches.push(Request {
+                        ep: self.endpoint(r)?,
+                        params: self.words(r)?,
+                        cont: Arc::new(self.service(r, depth + 1)?),
+                    });
                 }
                 Ok(Service::Guarded(Guard { branches }))
             }
             3 => {
-                let n = self.get_len()?;
+                let n = r.count()?;
                 let children = (0..n)
-                    .map(|_| self.get_service(depth + 1))
+                    .map(|_| self.service(r, depth + 1))
                     .collect::<Result<_, _>>()?;
                 Ok(Service::Parallel(children))
             }
             4 => {
-                let decl = match self.get_u8()? {
-                    0 => Decl::Name(self.get_sym()?),
-                    1 => Decl::Var(self.get_sym()?),
-                    2 => Decl::Killer(self.get_sym()?),
+                let decl = match r.u8()? {
+                    0 => Decl::Name(self.sym(r)?),
+                    1 => Decl::Var(self.sym(r)?),
+                    2 => Decl::Killer(self.sym(r)?),
                     _ => return Err(SnapshotError::Malformed("bad decl tag")),
                 };
-                Ok(Service::Delim(decl, Arc::new(self.get_service(depth + 1)?)))
+                Ok(Service::Delim(decl, Arc::new(self.service(r, depth + 1)?)))
             }
-            5 => Ok(Service::Protect(Arc::new(self.get_service(depth + 1)?))),
-            6 => Ok(Service::Kill(self.get_sym()?)),
-            7 => Ok(Service::Repl(Arc::new(self.get_service(depth + 1)?))),
+            5 => Ok(Service::Protect(Arc::new(self.service(r, depth + 1)?))),
+            6 => Ok(Service::Kill(self.sym(r)?)),
+            7 => Ok(Service::Repl(Arc::new(self.service(r, depth + 1)?))),
             _ => Err(SnapshotError::Malformed("bad service tag")),
         }
     }
 
-    fn get_task_set(&mut self) -> Result<BTreeSet<TaskInstance>, SnapshotError> {
-        let n = self.get_len()?;
+    fn task_set(&self, r: &mut Reader<'_>) -> Result<BTreeSet<TaskInstance>, SnapshotError> {
+        let n = r.count()?;
         let mut set = BTreeSet::new();
         for _ in 0..n {
-            let r = self.get_sym()?;
-            let q = self.get_sym()?;
-            set.insert((r, q));
+            set.insert((self.sym(r)?, self.sym(r)?));
         }
         Ok(set)
+    }
+
+    /// One state in the writer's normal form.
+    fn raw_state(&self, r: &mut Reader<'_>) -> Result<Marked, SnapshotError> {
+        Ok(Marked {
+            service: self.service(r, 0)?,
+            running: self.task_set(r)?,
+        })
+    }
+
+    /// One state written by [`SymbolWriter::put_state`], re-normalized
+    /// under this run's symbol order (see the module docs on
+    /// run-independence).
+    pub fn state(&self, r: &mut Reader<'_>) -> Result<Marked, SnapshotError> {
+        let m = self.raw_state(r)?;
+        Ok(Marked {
+            service: normalize(m.service),
+            running: m.running,
+        })
     }
 }
 
@@ -589,46 +461,46 @@ impl MergeReport {
 pub fn encode_snapshot(auto: &ProcessAutomaton, key: u64) -> Vec<u8> {
     let nodes: Vec<Arc<super::Node>> = auto.nodes.read().clone();
     let n = nodes.len();
-    let mut enc = Encoder::new();
+    let mut syms = SymbolWriter::default();
+    let mut body = Vec::new();
 
-    enc.put_len(n);
+    body.put_count(n);
     for node in &nodes {
-        enc.put_service(&node.state.service);
-        enc.put_task_set(&node.state.running);
+        syms.put_state(&mut body, &node.state);
     }
 
     match auto.initial.get() {
         Some(&id) if (id as usize) < n => {
-            enc.put_u8(1);
-            enc.put_u32(id);
+            body.put_u8(1);
+            body.put_u32(id);
         }
-        _ => enc.put_u8(0),
+        _ => body.put_u8(0),
     }
 
     for node in &nodes {
         let edges = node.edges.read().clone();
         match edges {
             Some(list) if list.iter().all(|&(_, t)| (t as usize) < n) => {
-                enc.put_u8(1);
-                enc.put_len(list.len());
+                body.put_u8(1);
+                body.put_count(list.len());
                 for &(obs, target) in list.iter() {
                     match obs {
                         Observation::Task { role, task } => {
-                            enc.put_u8(0);
-                            enc.put_sym(role);
-                            enc.put_sym(task);
+                            body.put_u8(0);
+                            syms.put(&mut body, role);
+                            syms.put(&mut body, task);
                         }
-                        Observation::Error => enc.put_u8(1),
+                        Observation::Error => body.put_u8(1),
                     }
-                    enc.put_u32(target);
+                    body.put_u32(target);
                 }
             }
-            _ => enc.put_u8(0),
+            _ => body.put_u8(0),
         }
     }
 
     for node in &nodes {
-        enc.put_u8(match *node.silent.read() {
+        body.put_u8(match *node.silent.read() {
             None => 0,
             Some(false) => 1,
             Some(true) => 2,
@@ -639,25 +511,14 @@ pub fn encode_snapshot(auto: &ProcessAutomaton, key: u64) -> Vec<u8> {
         let tokens = node.tokens.read().clone();
         match tokens {
             Some(set) => {
-                enc.put_u8(1);
-                enc.put_task_set(&set);
+                body.put_u8(1);
+                syms.put_task_set(&mut body, &set);
             }
-            None => enc.put_u8(0),
+            None => body.put_u8(0),
         }
     }
 
-    let payload = enc.into_payload();
-    let mut checksum = StableHasher::new();
-    checksum.write(&payload);
-
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&key.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&checksum.finish().to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    codec::seal(MAGIC, FORMAT_VERSION, key, &syms.payload(body))
 }
 
 /// Validate the envelope and decode the payload. States keep the writer's
@@ -665,77 +526,22 @@ pub fn encode_snapshot(auto: &ProcessAutomaton, key: u64) -> Vec<u8> {
 /// happens in the merge (see the module docs). Nothing is interned into
 /// any automaton yet.
 pub fn decode_snapshot(bytes: &[u8], expected_key: u64) -> Result<DecodedSnapshot, SnapshotError> {
-    if bytes.len() < HEADER_LEN {
-        if bytes.len() >= 4 && bytes[..4] != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        return Err(SnapshotError::Truncated);
-    }
-    if bytes[..4] != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if version != FORMAT_VERSION {
-        return Err(SnapshotError::VersionMismatch {
-            found: version,
-            expected: FORMAT_VERSION,
-        });
-    }
-    let key = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    if key != expected_key {
-        return Err(SnapshotError::KeyMismatch {
-            found: key,
-            expected: expected_key,
-        });
-    }
-    let payload_len = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes")) as usize;
-    let stored_checksum = u64::from_le_bytes(bytes[24..32].try_into().expect("8 bytes"));
-    let payload = &bytes[HEADER_LEN..];
-    if payload.len() < payload_len {
-        return Err(SnapshotError::Truncated);
-    }
-    if payload.len() > payload_len {
-        return Err(SnapshotError::Malformed("trailing bytes after payload"));
-    }
-    let mut checksum = StableHasher::new();
-    checksum.write(payload);
-    let computed = checksum.finish();
-    if computed != stored_checksum {
-        return Err(SnapshotError::ChecksumMismatch {
-            stored: stored_checksum,
-            computed,
-        });
-    }
-
-    // Symbol table.
-    let mut d = Decoder {
-        bytes: payload,
-        pos: 0,
-        table: Vec::new(),
-    };
-    let nsyms = d.get_len()?;
-    for _ in 0..nsyms {
-        let len = d.get_len()?;
-        let raw = d.take(len)?;
-        let text = std::str::from_utf8(raw)
-            .map_err(|_| SnapshotError::Malformed("symbol is not utf-8"))?;
-        d.table.push(Symbol::new(text));
-    }
+    let (_, payload) = codec::open(bytes, MAGIC, FORMAT_VERSION, Some(expected_key))?;
+    let mut r = Reader::new(payload);
+    let t = SymbolTable::read(&mut r)?;
 
     // States, still in the writer's normal form; the merge re-normalizes
     // them under this run's symbol order (in parallel — see `intern_all`).
-    let nstates = d.get_len()?;
+    let nstates = r.count()?;
     let mut states = Vec::with_capacity(nstates);
     for _ in 0..nstates {
-        let service = d.get_service(0)?;
-        let running = d.get_task_set()?;
-        states.push(Marked { service, running });
+        states.push(t.raw_state(&mut r)?);
     }
 
-    let initial = match d.get_u8()? {
+    let initial = match r.u8()? {
         0 => None,
         1 => {
-            let id = d.get_u32()?;
+            let id = r.u32()?;
             if id as usize >= nstates {
                 return Err(SnapshotError::Malformed("initial state out of range"));
             }
@@ -746,21 +552,21 @@ pub fn decode_snapshot(bytes: &[u8], expected_key: u64) -> Result<DecodedSnapsho
 
     let mut edges = Vec::with_capacity(nstates);
     for _ in 0..nstates {
-        match d.get_u8()? {
+        match r.u8()? {
             0 => edges.push(None),
             1 => {
-                let n = d.get_len()?;
+                let n = r.count()?;
                 let mut list = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let obs = match d.get_u8()? {
+                    let obs = match r.u8()? {
                         0 => Observation::Task {
-                            role: d.get_sym()?,
-                            task: d.get_sym()?,
+                            role: t.sym(&mut r)?,
+                            task: t.sym(&mut r)?,
                         },
                         1 => Observation::Error,
                         _ => return Err(SnapshotError::Malformed("bad observation tag")),
                     };
-                    let target = d.get_u32()?;
+                    let target = r.u32()?;
                     if target as usize >= nstates {
                         return Err(SnapshotError::Malformed("edge target out of range"));
                     }
@@ -774,7 +580,7 @@ pub fn decode_snapshot(bytes: &[u8], expected_key: u64) -> Result<DecodedSnapsho
 
     let mut silent = Vec::with_capacity(nstates);
     for _ in 0..nstates {
-        silent.push(match d.get_u8()? {
+        silent.push(match r.u8()? {
             0 => None,
             1 => Some(false),
             2 => Some(true),
@@ -784,17 +590,14 @@ pub fn decode_snapshot(bytes: &[u8], expected_key: u64) -> Result<DecodedSnapsho
 
     let mut tokens = Vec::with_capacity(nstates);
     for _ in 0..nstates {
-        tokens.push(match d.get_u8()? {
+        tokens.push(match r.u8()? {
             0 => None,
-            1 => Some(d.get_task_set()?),
+            1 => Some(t.task_set(&mut r)?),
             _ => return Err(SnapshotError::Malformed("bad tokens flag")),
         });
     }
 
-    if d.pos != payload.len() {
-        return Err(SnapshotError::Malformed("payload has unread bytes"));
-    }
-
+    r.finish()?;
     Ok(DecodedSnapshot {
         states,
         initial,
@@ -931,151 +734,6 @@ fn intern_all(auto: &ProcessAutomaton, states: Vec<Marked>) -> Vec<StateId> {
             .flat_map(|h| h.join().expect("intern worker panicked"))
             .collect()
     })
-}
-
-// ---------------------------------------------------------------------------
-// Reusable state codec (live-session checkpoints)
-// ---------------------------------------------------------------------------
-
-/// Payload writer for consumers outside this module that persist [`Marked`]
-/// states — live-session checkpoints reuse the snapshot's symbol-table
-/// framing and term encoding instead of inventing a second binary format.
-/// Strings written with [`put_str`] land inline in the body; symbols go
-/// through the deduplicating table exactly as in a `.pcas` payload.
-///
-/// [`put_str`]: StateEncoder::put_str
-pub struct StateEncoder(Encoder);
-
-impl StateEncoder {
-    pub fn new() -> StateEncoder {
-        StateEncoder(Encoder::new())
-    }
-
-    pub fn put_u8(&mut self, v: u8) {
-        self.0.put_u8(v);
-    }
-
-    pub fn put_u32(&mut self, v: u32) {
-        self.0.put_u32(v);
-    }
-
-    pub fn put_u64(&mut self, v: u64) {
-        self.0.body.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// A collection length (`u32`, checked).
-    pub fn put_len(&mut self, n: usize) {
-        self.0.put_len(n);
-    }
-
-    pub fn put_sym(&mut self, s: Symbol) {
-        self.0.put_sym(s);
-    }
-
-    /// A free-form string, length-prefixed, inline in the body (not
-    /// interned — use [`StateEncoder::put_sym`] for repeated identifiers).
-    pub fn put_str(&mut self, s: &str) {
-        self.0.put_len(s.len());
-        self.0.body.extend_from_slice(s.as_bytes());
-    }
-
-    /// One marked state: the COWS term plus its running-task set.
-    pub fn put_state(&mut self, m: &Marked) {
-        self.0.put_service(&m.service);
-        self.0.put_task_set(&m.running);
-    }
-
-    /// Assemble the payload (symbol table first, then the body).
-    pub fn into_payload(self) -> Vec<u8> {
-        self.0.into_payload()
-    }
-}
-
-impl Default for StateEncoder {
-    fn default() -> Self {
-        StateEncoder::new()
-    }
-}
-
-/// Payload reader matching [`StateEncoder`]. Construction consumes the
-/// symbol table; every getter is fail-open (typed [`SnapshotError`], never
-/// a panic) and decoded states are re-normalized under the *current* run's
-/// symbol order, so callers always receive canonical terms (the same
-/// repair [`merge_snapshot`] applies — see the module docs on
-/// run-independence).
-pub struct StateDecoder<'b>(Decoder<'b>);
-
-impl<'b> StateDecoder<'b> {
-    pub fn new(payload: &'b [u8]) -> Result<StateDecoder<'b>, SnapshotError> {
-        let mut d = Decoder {
-            bytes: payload,
-            pos: 0,
-            table: Vec::new(),
-        };
-        let nsyms = d.get_len()?;
-        for _ in 0..nsyms {
-            let len = d.get_len()?;
-            let raw = d.take(len)?;
-            let text = std::str::from_utf8(raw)
-                .map_err(|_| SnapshotError::Malformed("symbol is not utf-8"))?;
-            d.table.push(Symbol::new(text));
-        }
-        Ok(StateDecoder(d))
-    }
-
-    pub fn get_u8(&mut self) -> Result<u8, SnapshotError> {
-        self.0.get_u8()
-    }
-
-    pub fn get_u32(&mut self) -> Result<u32, SnapshotError> {
-        self.0.get_u32()
-    }
-
-    pub fn get_u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(
-            self.0.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    pub fn get_len(&mut self) -> Result<usize, SnapshotError> {
-        self.0.get_len()
-    }
-
-    pub fn get_sym(&mut self) -> Result<Symbol, SnapshotError> {
-        self.0.get_sym()
-    }
-
-    pub fn get_str(&mut self) -> Result<String, SnapshotError> {
-        let len = self.0.get_len()?;
-        let raw = self.0.take(len)?;
-        std::str::from_utf8(raw)
-            .map(str::to_owned)
-            .map_err(|_| SnapshotError::Malformed("string is not utf-8"))
-    }
-
-    /// One marked state, re-normalized under this run's symbol order.
-    pub fn get_state(&mut self) -> Result<Marked, SnapshotError> {
-        let service = self.0.get_service(0)?;
-        let running = self.0.get_task_set()?;
-        Ok(Marked {
-            service: normalize(service),
-            running,
-        })
-    }
-
-    /// Bytes consumed so far (symbol table included) — for callers that
-    /// frame raw sub-payloads after a decoded section.
-    pub fn consumed_bytes(&self) -> usize {
-        self.0.pos
-    }
-
-    /// Assert the payload was consumed exactly.
-    pub fn finish(&self) -> Result<(), SnapshotError> {
-        if self.0.pos != self.0.bytes.len() {
-            return Err(SnapshotError::Malformed("payload has unread bytes"));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -1252,47 +910,36 @@ mod tests {
                 .into_iter()
                 .collect(),
         };
-        let mut enc = StateEncoder::new();
-        enc.put_u8(3);
-        enc.put_u32(0xdead_beef);
-        enc.put_u64(0x0123_4567_89ab_cdef);
-        enc.put_str("HT-7 café"); // non-ascii exercises utf-8 handling
-        enc.put_sym(sym("treatment"));
-        enc.put_sym(sym("treatment")); // second use: table index, not a copy
-        enc.put_state(&state);
-        let payload = enc.into_payload();
+        let mut syms = SymbolWriter::default();
+        let mut body = Vec::new();
+        body.put_u8(3);
+        body.put_str("HT-7 café"); // non-ascii exercises utf-8 handling
+        syms.put(&mut body, sym("treatment"));
+        syms.put(&mut body, sym("treatment")); // second use: table index, not a copy
+        syms.put_state(&mut body, &state);
+        let payload = syms.payload(body);
 
-        let mut dec = StateDecoder::new(&payload).unwrap();
-        assert_eq!(dec.get_u8().unwrap(), 3);
-        assert_eq!(dec.get_u32().unwrap(), 0xdead_beef);
-        assert_eq!(dec.get_u64().unwrap(), 0x0123_4567_89ab_cdef);
-        assert_eq!(dec.get_str().unwrap(), "HT-7 café");
-        assert_eq!(dec.get_sym().unwrap(), sym("treatment"));
-        assert_eq!(dec.get_sym().unwrap(), sym("treatment"));
-        assert_eq!(dec.get_state().unwrap(), state);
-        dec.finish().unwrap();
+        let decode = |bytes: &[u8]| -> Result<(), SnapshotError> {
+            let mut r = Reader::new(bytes);
+            let t = SymbolTable::read(&mut r)?;
+            assert_eq!(r.u8()?, 3);
+            assert_eq!(r.str()?, "HT-7 café");
+            assert_eq!(t.sym(&mut r)?, sym("treatment"));
+            assert_eq!(t.sym(&mut r)?, sym("treatment"));
+            assert_eq!(t.state(&mut r)?, state);
+            r.finish()
+        };
+        decode(&payload).unwrap();
 
         // Trailing garbage is caught, truncation is fail-open.
         let mut longer = payload.clone();
         longer.push(0);
-        let mut dec = StateDecoder::new(&longer).unwrap();
-        while dec.get_u8().is_ok() {}
+        assert!(decode(&longer).is_err());
         for len in 0..payload.len() {
-            let mut dec = match StateDecoder::new(&payload[..len]) {
-                Ok(d) => d,
-                Err(_) => continue,
-            };
-            let r = (|| -> Result<(), SnapshotError> {
-                dec.get_u8()?;
-                dec.get_u32()?;
-                dec.get_u64()?;
-                dec.get_str()?;
-                dec.get_sym()?;
-                dec.get_sym()?;
-                dec.get_state()?;
-                dec.finish()
-            })();
-            assert!(r.is_err(), "truncation to {len} bytes must not decode");
+            assert!(
+                decode(&payload[..len]).is_err(),
+                "truncation to {len} bytes must not decode"
+            );
         }
     }
 }

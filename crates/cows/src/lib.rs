@@ -63,7 +63,7 @@ pub mod term;
 pub mod weaknext;
 
 pub use automaton::snapshot::{
-    MergeReport, SnapshotError, StableHasher, StateDecoder, StateEncoder,
+    MergeReport, SnapshotError, StableHasher, SymbolTable, SymbolWriter,
 };
 pub use automaton::{AutomatonStats, ProcessAutomaton};
 pub use equiv::{weak_trace_equiv, EquivLimits, Inequivalence};

@@ -14,9 +14,8 @@
 //! relaxed atomic load when not installed — the default for every
 //! embedded/test use — so library users never pay for it.
 //!
-//! Durability is deliberately std-only (temp file → fsync → rename →
-//! dir-fsync, hand-rolled): `obs` sits below `core` in the crate graph,
-//! so it cannot reuse `core::durable`.
+//! Dumps are written with the workspace's one durable write,
+//! [`codec::atomic_write`] (temp file → fsync → rename → dir-fsync).
 
 use crate::recorder::{ObsEvent, TimedEvent};
 use std::collections::VecDeque;
@@ -163,37 +162,15 @@ pub fn dump_lines(reason: &str) -> String {
     s
 }
 
-/// Crash-atomically write the ring to `<dir>/flight.jsonl` (temp file →
-/// fsync → rename → dir-fsync). Returns the path, or `None` when the
-/// recorder is uninstalled or has no dump directory. Never panics — a
-/// flight dump running *inside* the panic hook must not double-panic.
+/// Crash-atomically write the ring to `<dir>/flight.jsonl`. Returns the
+/// path, or `None` when the recorder is uninstalled, has no dump
+/// directory or the write failed. Never panics — a flight dump running
+/// *inside* the panic hook must not double-panic.
 pub fn dump(reason: &str) -> Option<PathBuf> {
     let dir = inner().as_ref()?.dir.clone()?;
-    let lines = dump_lines(reason);
     let path = dir.join("flight.jsonl");
-    let tmp = dir.join(".flight.jsonl.tmp");
-    let write = || -> std::io::Result<()> {
-        std::fs::create_dir_all(&dir)?;
-        {
-            use std::io::Write as _;
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(lines.as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &path)?;
-        #[cfg(unix)]
-        if let Ok(d) = std::fs::File::open(&dir) {
-            let _ = d.sync_all();
-        }
-        Ok(())
-    };
-    match write() {
-        Ok(()) => Some(path),
-        Err(_) => {
-            let _ = std::fs::remove_file(&tmp);
-            None
-        }
-    }
+    codec::atomic_write(&path, dump_lines(reason).as_bytes(), true).ok()?;
+    Some(path)
 }
 
 /// Install a panic hook that records the panic and dumps the ring before

@@ -209,7 +209,7 @@ fn read_chunked_body(reader: &mut impl BufRead, limits: &Limits) -> Result<Vec<u
                 }
             }
         }
-        if body.len() + size > limits.max_body_bytes {
+        if body.len().saturating_add(size) > limits.max_body_bytes {
             return Err(HttpError::BodyTooLarge);
         }
         let start = body.len();
@@ -381,6 +381,12 @@ mod tests {
             b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n9\r\nwaytoobig\r\n0\r\n\r\n";
         let err = read_request(&mut BufReader::new(bytes), &limits).unwrap_err();
         assert!(matches!(err, HttpError::BodyTooLarge));
+        // A chunk size near usize::MAX after a first chunk must not wrap
+        // the running total past the limit check.
+        let bytes: &[u8] =
+            b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n1\r\na\r\nffffffffffffffff\r\n";
+        let err = read_request(&mut BufReader::new(bytes), &limits).unwrap_err();
+        assert!(matches!(err, HttpError::BodyTooLarge), "{err:?}");
     }
 
     #[test]

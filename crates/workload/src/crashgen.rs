@@ -7,8 +7,7 @@
 //! can land mid-drain rather than only at quiescent points. Same seed, same
 //! schedule — a failing matrix entry replays exactly.
 //!
-//! The mixer is the same splitmix64 step the durable layer's fault plans
-//! use, so the whole chaos surface shares one seeding idiom.
+//! The mixer is the durable layer's splitmix64 step.
 
 use purpose_control::durable::splitmix64;
 

@@ -205,3 +205,169 @@ fn regenerate_golden_fixture() {
     std::fs::create_dir_all(std::path::Path::new(GOLDEN).parent().unwrap()).unwrap();
     enc.save_snapshot(std::path::Path::new(GOLDEN)).unwrap();
 }
+
+// ---------------------------------------------------------------------------
+// Durable checkpoint golden fixture
+// ---------------------------------------------------------------------------
+
+const GOLDEN_PCLS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/monitor.pcls");
+
+/// A configuration touching every COWS term tag. The encoder writes terms
+/// as built (only decode re-normalizes), and the running set has a single
+/// task, so the bytes do not depend on this run's interner order.
+fn golden_state() -> cows::weaknext::Marked {
+    use cows::sym;
+    use cows::term::*;
+    let service = delim_killer(
+        "k",
+        par(vec![
+            invoke_args(
+                ep("Nurse", "T01"),
+                vec![Word::Name(sym("Jane")), Word::Var(sym("x"))],
+            ),
+            request_params(
+                ep("Nurse", "T01"),
+                vec![Word::Var(sym("x"))],
+                protect(kill("k")),
+            ),
+            repl(request(ep("sys", "Err"), Service::Nil)),
+            invoke_completing(ep("GP", "T02"), vec![ep("Nurse", "T01")]),
+            delim_var("x", Service::Nil),
+        ]),
+    );
+    cows::weaknext::Marked {
+        service,
+        running: [(cows::sym("Nurse"), cows::sym("T01"))]
+            .into_iter()
+            .collect(),
+    }
+}
+
+/// Two shards: one with open cases (entries, a temporal anchor, an inline
+/// case name), a retired case and the alarm order; one empty.
+fn golden_monitors() -> Vec<purpose_control::MonitorCheckpoint> {
+    use audit::Timestamp;
+    use cows::sym;
+    use policy::statement::Action;
+    use purpose_control::replay::{Infringement, InfringementKind};
+    use purpose_control::{
+        CaseCheckpoint, ClosedCase, MonitorCheckpoint, SessionMeta, SessionState,
+        SeverityAssessment,
+    };
+    let entry = |task: &str, case: &str, minute: u64| {
+        LogEntry::success(
+            "Bob",
+            "Cardiologist",
+            Action::Read,
+            Some(policy::ObjectId::of_subject("Jane", "EPR/Clinical")),
+            task,
+            case,
+            Timestamp(minute),
+        )
+    };
+    let open = |case: &str, key: u64, name: Option<&str>| CaseCheckpoint {
+        case: sym(case),
+        purpose: sym("treatment"),
+        process_key: key,
+        state: SessionState {
+            confs: vec![golden_state()],
+            meta: SessionMeta {
+                peak: 3,
+                explored: 17,
+                consumed: 2,
+                first_time: Some(Timestamp(201007060900)),
+                case_name: name.map(str::to_string),
+            },
+        },
+        entries: vec![
+            entry("T01", case, 201007060900),
+            LogEntry {
+                status: audit::TaskStatus::Failure,
+                object: None,
+                ..entry("T02", case, 201007060905)
+            },
+        ],
+        entries_dropped: 1,
+        last_seen: Timestamp(201007060905),
+    };
+    let closed = ClosedCase {
+        case: sym("HT-9"),
+        infringement: Infringement {
+            entry_index: 1,
+            entry: entry("T06", "HT-9", 201007061000),
+            expected: vec!["Nurse.T01".to_string(), "sys.Err".to_string()],
+            active: vec!["GP.T02".to_string()],
+            kind: InfringementKind::TemporalViolation {
+                elapsed_minutes: 90,
+                limit_minutes: 60,
+            },
+        },
+        severity: SeverityAssessment {
+            unaccounted_entries: 2,
+            max_sensitivity: 1.5,
+            subjects_touched: 1,
+            score: 3.25,
+        },
+        subjects: [sym("Jane")].into_iter().collect(),
+        after_alarm: 4,
+    };
+    vec![
+        MonitorCheckpoint {
+            stream_offset: 4096,
+            cases: vec![
+                open("HT-1", 0x1111_2222_3333_4444, Some("HT-1")),
+                open("HT-2", 0x5555_6666_7777_8888, None),
+            ],
+            closed: vec![closed],
+            alarm_order: vec![sym("HT-9")],
+        },
+        MonitorCheckpoint {
+            stream_offset: 4096,
+            cases: vec![],
+            closed: vec![],
+            alarm_order: vec![],
+        },
+    ]
+}
+
+fn golden_checkpoint_bytes() -> Vec<u8> {
+    use purpose_control::checkpoint::{encode_monitor, encode_sharded};
+    let blobs: Vec<Vec<u8>> = golden_monitors().iter().map(encode_monitor).collect();
+    encode_sharded(&blobs)
+}
+
+/// The committed sharded checkpoint pins the durable `PCLS`/`PCLM`/`PCLC`
+/// wire format: encoding the same monitors reproduces it byte for byte,
+/// and it decodes back to equal monitors (states re-normalized under this
+/// run's symbol order, as every checkpoint restore does).
+#[test]
+fn golden_checkpoint_is_byte_stable_and_decodes() {
+    use purpose_control::checkpoint::{decode_monitor, decode_sharded};
+    let fixture = std::fs::read(GOLDEN_PCLS).expect("committed checkpoint fixture");
+    assert!(
+        golden_checkpoint_bytes() == fixture,
+        "checkpoint encoding changed — bump CHECKPOINT_VERSION and regenerate"
+    );
+    let blobs = decode_sharded(&fixture).expect("fixture decodes");
+    let mut want = golden_monitors();
+    for m in &mut want {
+        for c in &mut m.cases {
+            for s in &mut c.state.confs {
+                s.service = cows::normalize(s.service.clone());
+            }
+        }
+    }
+    assert_eq!(blobs.len(), want.len());
+    for (blob, want) in blobs.iter().zip(&want) {
+        assert_eq!(&decode_monitor(blob).expect("shard decodes"), want);
+    }
+}
+
+/// Regenerates the checkpoint fixture. Run manually after a deliberate
+/// format change:
+/// `cargo test --test snapshots regenerate_golden_checkpoint -- --ignored`.
+#[test]
+#[ignore = "writes tests/fixtures/monitor.pcls; run after deliberate format changes"]
+fn regenerate_golden_checkpoint() {
+    std::fs::write(GOLDEN_PCLS, golden_checkpoint_bytes()).unwrap();
+}
